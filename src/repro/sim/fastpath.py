@@ -2,12 +2,26 @@
 
 The per-step interpreter in :class:`~repro.sim.cpu.Cpu` pays Python-level
 dispatch costs (isinstance chains, dict churn, attribute lookups) for
-every executed word.  This module pre-compiles each instruction word --
-once, at its address -- into a specialized Python closure (threaded-code
-style) and runs a batched inner loop over those handlers, only falling
-back to the precise reference stepper for the rare events it cannot
-prove cheap: faults, traps, privileged/special instructions, interlock
-stalls, device-window accesses, and interrupt delivery.
+every executed word.  This module turns each instruction word into a
+specialized Python function (threaded-code style) and runs a batched
+inner loop over those handlers, only falling back to the precise
+reference stepper for the rare events it cannot prove cheap: faults,
+traps, privileged/special instructions, interlock stalls, device-window
+accesses, and interrupt delivery.
+
+Handlers are compiled once per *template* and instantiated per address.
+The emitters write every word-specific integer (register numbers,
+immediates, displacements, targets, ``pc + 1``) as a numbered slot, so
+words that differ only in those integers share one template text.  The
+first word with a given text pays one ``exec()``, compiled with unique
+sentinel constants whose positions in the code object's ``co_consts``
+are recorded; every later word is ``code.replace(co_consts=...)`` with
+its own values -- bytecode identical to compiling its literal source,
+at a fraction of the cost.  Emitters therefore never let two literals
+meet in one constant-foldable expression (e.g. an immediate's sign bias
+is applied at emit time), and template compilation asserts that every
+slot survived as its own constant.  The superblock tier
+(:mod:`repro.sim.jit`) renders the same templates to literal source.
 
 Correctness discipline (what keeps the fast path bit-for-bit identical
 to :meth:`Cpu.step`):
@@ -40,7 +54,8 @@ execution falls back to the reference stepper word by word.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from types import FunctionType
+from typing import Dict, List, Optional
 
 from ..isa.bits import u32
 from ..isa.encoding import decode
@@ -81,25 +96,58 @@ _FALLBACK = object()
 #: ALU ops participating in overflow detection (mirrors alu_overflows)
 _OVF_OPS = (AluOp.ADD, AluOp.SUB, AluOp.RSUB)
 
-#: signed-compare trick: s32(a) < s32(b)  <=>  (a^SIGN) < (b^SIGN)
-_COND_TEMPLATES = {
-    Comparison.EQ: "{a} == {b}",
-    Comparison.NE: "{a} != {b}",
-    Comparison.LT: "({a} ^ 2147483648) < ({b} ^ 2147483648)",
-    Comparison.LE: "({a} ^ 2147483648) <= ({b} ^ 2147483648)",
-    Comparison.GT: "({a} ^ 2147483648) > ({b} ^ 2147483648)",
-    Comparison.GE: "({a} ^ 2147483648) >= ({b} ^ 2147483648)",
-    Comparison.LO: "{a} < {b}",
-    Comparison.LS: "{a} <= {b}",
-    Comparison.HI: "{a} > {b}",
-    Comparison.HS: "{a} >= {b}",
-    Comparison.T: "True",
-    Comparison.F: "False",
-    Comparison.BC: "({a} & {b}) == 0",
-    Comparison.BS: "({a} & {b}) != 0",
-    Comparison.NBC: "({a} & ({b} ^ 4294967295)) == 0",
-    Comparison.NBS: "({a} & ({b} ^ 4294967295)) != 0",
+_SIGN = 2147483648
+_MASK = 4294967295
+
+#: comparisons on the raw (unsigned) operand values
+_UNSIGNED_COMPARES = {
+    Comparison.EQ: "==",
+    Comparison.NE: "!=",
+    Comparison.LO: "<",
+    Comparison.LS: "<=",
+    Comparison.HI: ">",
+    Comparison.HS: ">=",
 }
+#: signed-compare trick: s32(a) < s32(b)  <=>  (a^SIGN) < (b^SIGN)
+_SIGNED_COMPARES = {
+    Comparison.LT: "<",
+    Comparison.LE: "<=",
+    Comparison.GT: ">",
+    Comparison.GE: ">=",
+}
+#: bit tests: comparison -> (test a & ~b rather than a & b, result op 0)
+_BIT_TESTS = {
+    Comparison.BC: (False, "=="),
+    Comparison.BS: (False, "!="),
+    Comparison.NBC: (True, "=="),
+    Comparison.NBS: (True, "!="),
+}
+
+#: first sentinel constant a template is compiled with: far above every
+#: value a handler computes with, so no slot collides with a real literal
+_SENTINEL = 1 << 62
+
+
+class _Slots(list):
+    """The word-specific integers of one emitted word, in slot order.
+
+    Calling it records a value and returns the placeholder the template
+    text carries in its place; ``template.format(*slots)`` renders the
+    word's literal source.
+    """
+
+    __slots__ = ()
+
+    def __call__(self, value: int) -> str:
+        self.append(value)
+        return "{%d}" % (len(self) - 1)
+
+
+def _define(src: str, name: str):
+    """Compile generated ``def name(...)`` source; return its code object."""
+    namespace: Dict[str, object] = {}
+    exec(src, namespace)  # noqa: S102 - generating threaded-code handlers
+    return namespace[name].__code__
 
 
 @dataclass
@@ -109,6 +157,7 @@ class EngineStats:
     must match across engines)."""
 
     compiles: int = 0        # words compiled into handlers
+    templates: int = 0       # handler templates compiled (one exec() each)
     fallbacks: int = 0       # words screened out at compile time
     bails: int = 0           # handlers that punted pre-mutation at run time
     invalidations: int = 0   # compiled words dropped (SMC, DMA, loader pokes)
@@ -152,17 +201,23 @@ class _WordIR:
 
     ``body`` is everything the per-word handler does except next-PC
     selection, so the superblock fuser can concatenate bodies and write
-    its own control flow around them.
+    its own control flow around them.  Its lines are template text whose
+    placeholders index ``slots``.
     """
 
-    __slots__ = ("body", "flow", "delta", "can_bail", "is_store")
+    __slots__ = ("body", "slots", "flow", "delta", "can_bail", "is_store")
 
-    def __init__(self, body, flow, delta, can_bail, is_store):
+    def __init__(self, body, slots, flow, delta, can_bail, is_store):
         self.body = body
+        self.slots = slots
         self.flow = flow
         self.delta = delta
         self.can_bail = can_bail
         self.is_store = is_store
+
+    def render(self) -> List[str]:
+        """The body as literal source lines."""
+        return [line.format(*self.slots) for line in self.body]
 
 
 class FastPathEngine:
@@ -203,6 +258,10 @@ class FastPathEngine:
         self._block_epoch = [0]
         #: shared progress cell: blocks report words completed through it
         self._progress = [0]
+        #: template text -> (code, co_consts, slot indices into co_consts)
+        self._templates: Dict[str, tuple] = {}
+        #: the globals every generated handler (word or block) runs with
+        self._env = self._globals() if self._supported else None
         if self._supported and hasattr(physical, "watch_hook"):
             physical.watch_hook = self._on_external_write
         pagemap = getattr(mem, "pagemap", None)
@@ -741,9 +800,9 @@ class FastPathEngine:
         self._compiled_pcs.add(pc)
         return handler
 
-    def _base_env(self) -> Dict[str, object]:
-        """The globals every generated handler (word or block) closes over."""
-        return {
+    def _globals(self) -> Dict[str, object]:
+        """The globals of every generated handler: built once per engine."""
+        env = {
             "_B": _BAIL,
             "MW": self._phys._words,
             "MWG": self._phys._words.get,
@@ -751,28 +810,60 @@ class FastPathEngine:
             "OVF": alu_overflows,
             "FPCS": self._compiled_pcs,
             "INVAL": self._invalidate,
+            "EP": self._block_epoch,
         }
+        for op in _OVF_OPS:
+            env[f"OP_{op.name}"] = op
+        return env
 
-    def _try_compile(self, ctx: _Context, pc: int):
-        env = self._base_env()
-        ir = self._emit_word(ctx, pc, "", env)
+    def _word_template(self, ctx: _Context, pc: int):
+        """The per-word handler of ``pc`` as ``(template source, IR)``.
+
+        ``source.format(*ir.slots)`` is the handler's literal source;
+        ``None`` when the word belongs to the reference stepper.
+        """
+        ir = self._emit_word(ctx, pc, "")
         if ir is None:
             return None
-        body = ir.body + self._emit_epilogue(ir.flow, pc)
-        src = "def _h(regs, st):\n" + "\n".join("    " + line for line in body)
-        exec(src, env)  # noqa: S102 - generating the threaded-code handler
-        ctx.deltas[pc] = ir.delta
-        return env["_h"]
+        body = ir.body + self._emit_epilogue(ir.flow, pc, ir.slots)
+        return "def _h(regs, st):\n" + "\n".join("    " + line for line in body), ir
 
-    def _emit_word(self, ctx: _Context, pc: int, p: str, env: Dict[str, object]):
-        """Emit the straight-line IR of the word at ``pc`` into ``env``.
+    def _try_compile(self, ctx: _Context, pc: int):
+        word = self._word_template(ctx, pc)
+        if word is None:
+            return None
+        src, ir = word
+        template = self._templates.get(src)
+        if template is None:
+            template = self._templates[src] = self._compile_template(src, len(ir.slots))
+        code, consts, where = template
+        consts = list(consts)
+        for i, value in zip(where, ir.slots):
+            consts[i] = value
+        ctx.deltas[pc] = ir.delta
+        return FunctionType(code.replace(co_consts=tuple(consts)), self._env)
+
+    def _compile_template(self, src: str, nslots: int) -> tuple:
+        """One ``exec()``: compile ``src`` with a unique sentinel per slot
+        and find where each sentinel landed in ``co_consts``."""
+        self.stats.templates += 1
+        sentinels = range(_SENTINEL, _SENTINEL + nslots)
+        code = _define(src.format(*sentinels), "_h")
+        consts = code.co_consts
+        for sentinel in sentinels:
+            # a slot folded into a neighbouring literal would leave every
+            # word of this template running the first word's constant
+            assert sentinel in consts, f"slot folded away in template:\n{src}"
+        return code, consts, tuple(consts.index(s) for s in sentinels)
+
+    def _emit_word(self, ctx: _Context, pc: int, p: str):
+        """Emit the straight-line IR of the word at ``pc``.
 
         ``p`` prefixes every generated temporary so several words can be
         fused into one namespace by the superblock builder; the per-word
-        handlers use the empty prefix, which reproduces the original
-        generated source byte for byte.  Returns a :class:`_WordIR`
-        (body sans next-PC epilogue) or ``None`` when the word belongs
-        to the reference stepper.
+        handlers use the empty prefix.  Returns a :class:`_WordIR` (body
+        sans next-PC epilogue) or ``None`` when the word belongs to the
+        reference stepper.
         """
         from .cpu import HazardMode  # local import: cpu.py imports us lazily
 
@@ -796,6 +887,7 @@ class FastPathEngine:
         interlocked = mode is HazardMode.INTERLOCKED
         ovf_enabled = bool(ctx.key & 4)
 
+        k = _Slots()        # word-specific integers, as template slots
         pre: list = []      # pure evaluation + all bail checks
         commit: list = []   # register/special commits (post-deferred)
         reads = sorted(r.number for r in word.reads())
@@ -816,42 +908,36 @@ class FastPathEngine:
             if isinstance(piece, ReadSpecial):
                 if piece.sreg is not SpecialReg.LO:
                     return None
-                commit.append(f"regs[{piece.dst.number}] = CPU.lo")
+                commit.append(f"regs[{k(piece.dst.number)}] = CPU.lo")
                 continue
             if isinstance(piece, WriteSpecial):
                 if piece.sreg is not SpecialReg.LO:
                     return None
-                pre.append(f"_{p}w{idx} = {self._operand(piece.src)}")
+                pre.append(f"_{p}w{idx} = {self._operand(piece.src, k)}")
                 commit.append(f"CPU.lo = _{p}w{idx}")
                 continue
             if isinstance(piece, MovImm):
-                commit.append(f"regs[{piece.dst.number}] = {piece.value}")
+                commit.append(f"regs[{k(piece.dst.number)}] = {k(piece.value)}")
                 continue
             if isinstance(piece, LoadImm):
-                commit.append(f"regs[{piece.dst.number}] = {u32(piece.value)}")
+                commit.append(f"regs[{k(piece.dst.number)}] = {k(u32(piece.value))}")
                 continue
             if isinstance(piece, Alu):
-                lines = self._emit_alu(piece, idx, ovf_enabled, env, p)
+                lines = self._emit_alu(piece, idx, ovf_enabled, k, p)
                 if lines is None:
                     return None
                 pre.extend(lines)
-                commit.append(f"regs[{piece.dst.number}] = _{p}t{idx}")
+                commit.append(f"regs[{k(piece.dst.number)}] = _{p}t{idx}")
                 continue
             if isinstance(piece, SetCond):
-                cond = _COND_TEMPLATES[piece.cond].format(
-                    a=self._operand(piece.s1), b=self._operand(piece.s2)
-                )
-                pre.append(f"_{p}t{idx} = 1 if {cond} else 0")
-                commit.append(f"regs[{piece.dst.number}] = _{p}t{idx}")
+                pre.append(f"_{p}t{idx} = 1 if {self._emit_cond(piece, k)} else 0")
+                commit.append(f"regs[{k(piece.dst.number)}] = _{p}t{idx}")
                 continue
             if isinstance(piece, CompareBranch):
                 if not isinstance(piece.target, int):
                     return None
                 self._branch_targets.add(int(piece.target))
-                cond = _COND_TEMPLATES[piece.cond].format(
-                    a=self._operand(piece.s1), b=self._operand(piece.s2)
-                )
-                pre.append(f"_{p}tk = {cond}")
+                pre.append(f"_{p}tk = {self._emit_cond(piece, k)}")
                 if interlocked:
                     # taken branches squash the pipe: reference work
                     pre.append(f"if _{p}tk: raise _B")
@@ -862,15 +948,15 @@ class FastPathEngine:
                     return None
                 self._branch_targets.add(int(piece.target))
                 if piece.link:
-                    commit.append(f"regs[{RA.number}] = {pc + 1 + piece.delay_slots}")
+                    commit.append(f"regs[{RA.number}] = {k(pc + 1 + piece.delay_slots)}")
                 flow = piece
                 continue
             if isinstance(piece, JumpIndirect):
                 if interlocked:
                     return None
-                pre.append(f"_{p}tgt = regs[{piece.reg.number}]")
+                pre.append(f"_{p}tgt = regs[{k(piece.reg.number)}]")
                 if piece.link:
-                    commit.append(f"regs[{RA.number}] = {pc + 1 + piece.delay_slots}")
+                    commit.append(f"regs[{RA.number}] = {k(pc + 1 + piece.delay_slots)}")
                 flow = piece
                 continue
             if isinstance(piece, (Load, Store)):
@@ -880,22 +966,22 @@ class FastPathEngine:
         # ---- memory reference -----------------------------------------
         mem_lines: list = []
         if mem_piece is not None:
-            ea = self._emit_ea(mem_piece, pre, p)
+            ea = self._emit_ea(mem_piece, pre, k, p)
             if ea is None:
                 return None
             note = mem_piece.note
             if isinstance(mem_piece, Load):
                 mem_lines.append(f"_{p}vld = MWG({ea}, 0)")
-                load_dst = mem_piece.dst.number
+                load_dst = k(mem_piece.dst.number)
             else:
-                pre.append(f"_{p}vst = regs[{mem_piece.src.number}]")
+                pre.append(f"_{p}vst = regs[{k(mem_piece.src.number)}]")
                 mem_lines.append(f"MW[{ea}] = _{p}vst")
                 mem_lines.append(f"if {ea} in FPCS: INVAL({ea})")
 
         # ---- assemble the body ----------------------------------------
         body: list = []
         if (checked or interlocked) and reads:
-            conflict = " or ".join(f"_{p}dr == {r}" for r in reads)
+            conflict = " or ".join(f"_{p}dr == {k(r)}" for r in reads)
             body.append(f"_{p}dr = st[0]")
             body.append(f"if _{p}dr != -1 and ({conflict}): raise _B")
         body.extend(pre)
@@ -925,20 +1011,56 @@ class FastPathEngine:
             note,
         )
         can_bail = any("raise" in line for line in body)
-        return _WordIR(body, flow, delta, can_bail, isinstance(mem_piece, Store))
+        return _WordIR(body, k, flow, delta, can_bail, isinstance(mem_piece, Store))
 
     # ---- emit helpers -----------------------------------------------------
 
     @staticmethod
-    def _operand(op) -> str:
+    def _operand(op, k: _Slots) -> str:
         if isinstance(op, Imm):
-            return str(op.value)
-        return f"regs[{op.number}]"
+            return k(op.value)
+        return f"regs[{k(op.number)}]"
+
+    @classmethod
+    def _emit_cond(cls, piece, k: _Slots) -> str:
+        """A ``SetCond``/``CompareBranch`` condition as an expression.
+
+        Immediates are pre-combined here, so no two literals ever meet in
+        one constant-foldable expression.
+        """
+        cond, s1, s2 = piece.cond, piece.s1, piece.s2
+        if cond is Comparison.T:
+            return "True"
+        if cond is Comparison.F:
+            return "False"
+        rel = _UNSIGNED_COMPARES.get(cond)
+        if rel is not None:
+            return f"{cls._operand(s1, k)} {rel} {cls._operand(s2, k)}"
+        rel = _SIGNED_COMPARES.get(cond)
+        if rel is not None:
+
+            def biased(op) -> str:
+                if isinstance(op, Imm):
+                    return k(op.value ^ _SIGN)
+                return f"(regs[{k(op.number)}] ^ {_SIGN})"
+
+            return f"{biased(s1)} {rel} {biased(s2)}"
+        invert, rel = _BIT_TESTS[cond]
+        if isinstance(s1, Imm) and isinstance(s2, Imm):
+            mask = s2.value ^ _MASK if invert else s2.value
+            return f"{k(s1.value & mask)} {rel} 0"
+        if isinstance(s2, Imm):
+            mask = k(s2.value ^ _MASK if invert else s2.value)
+        elif invert:
+            mask = f"(regs[{k(s2.number)}] ^ {_MASK})"
+        else:
+            mask = f"regs[{k(s2.number)}]"
+        return f"({cls._operand(s1, k)} & {mask}) {rel} 0"
 
     def _emit_alu(
-        self, piece: Alu, idx: int, ovf_enabled: bool, env, p: str = ""
+        self, piece: Alu, idx: int, ovf_enabled: bool, k: _Slots, p: str = ""
     ) -> Optional[list]:
-        lines = [f"_{p}a{idx} = {self._operand(piece.s1)}"]
+        lines = [f"_{p}a{idx} = {self._operand(piece.s1, k)}"]
         a = f"_{p}a{idx}"
         op = piece.op
         if op is AluOp.MOV:
@@ -950,15 +1072,14 @@ class FastPathEngine:
         if op is AluOp.IC:
             lines.append(f"_{p}sh = (CPU.lo & 3) * 8")
             lines.append(
-                f"_{p}t{idx} = (regs[{piece.dst.number}] & ~(255 << _{p}sh) & 4294967295)"
+                f"_{p}t{idx} = (regs[{k(piece.dst.number)}] & ~(255 << _{p}sh) & 4294967295)"
                 f" | (({a} & 255) << _{p}sh)"
             )
             return lines
-        lines.append(f"_{p}b{idx} = {self._operand(piece.s2)}")
+        lines.append(f"_{p}b{idx} = {self._operand(piece.s2, k)}")
         b = f"_{p}b{idx}"
         if ovf_enabled and op in _OVF_OPS:
-            env[f"_{p}OP{idx}"] = op
-            lines.append(f"if OVF(_{p}OP{idx}, {a}, {b}): raise _B")
+            lines.append(f"if OVF(OP_{op.name}, {a}, {b}): raise _B")
         if op is AluOp.ADD:
             expr = f"({a} + {b}) & 4294967295"
         elif op is AluOp.SUB:
@@ -995,7 +1116,7 @@ class FastPathEngine:
         lines.append(f"_{p}t{idx} = {expr}")
         return lines
 
-    def _emit_ea(self, piece, pre: list, p: str = "") -> Optional[str]:
+    def _emit_ea(self, piece, pre: list, k: _Slots, p: str = "") -> Optional[str]:
         """Emit effective-address computation + bail checks; returns its name."""
         size = self._phys.size
         addr = piece.addr
@@ -1006,21 +1127,21 @@ class FastPathEngine:
                 return None  # always a bus error: reference territory
             if self._devices is not None and self._devices.claims(ea_val):
                 return None  # device register: always reference
-            return str(ea_val)
+            return k(ea_val)
         if isinstance(addr, Displacement):
             if addr.disp == 0:
-                pre.append(f"{ea} = regs[{addr.base.number}]")
+                pre.append(f"{ea} = regs[{k(addr.base.number)}]")
             else:
                 pre.append(
-                    f"{ea} = (regs[{addr.base.number}] + {addr.disp}) & 4294967295"
+                    f"{ea} = (regs[{k(addr.base.number)}] + {k(addr.disp)}) & 4294967295"
                 )
         elif isinstance(addr, BaseIndex):
             pre.append(
-                f"{ea} = (regs[{addr.base.number}] + regs[{addr.index.number}])"
+                f"{ea} = (regs[{k(addr.base.number)}] + regs[{k(addr.index.number)}])"
                 " & 4294967295"
             )
         elif isinstance(addr, BaseShifted):
-            pre.append(f"{ea} = regs[{addr.base.number}] >> {addr.shift}")
+            pre.append(f"{ea} = regs[{k(addr.base.number)}] >> {k(addr.shift)}")
         else:
             return None
         pre.append(f"if {ea} >= {size}: raise _B")
@@ -1031,7 +1152,7 @@ class FastPathEngine:
         return ea
 
     @staticmethod
-    def _emit_epilogue(flow, pc: int) -> list:
+    def _emit_epilogue(flow, pc: int, k: _Slots) -> list:
         """Next-PC logic: age the two pending-branch slots, then return.
 
         The two-slot model is exact: entries live at most two words, at
@@ -1040,11 +1161,11 @@ class FastPathEngine:
         both wins the fire and retires the loser -- which is precisely
         what overwriting the slot expresses.
         """
-        seq = pc + 1
+        seq = k(pc + 1)
         if isinstance(flow, Jump):
             return [
                 "_p = st[2]",
-                f"st[2] = {int(flow.target)}",
+                f"st[2] = {k(int(flow.target))}",
                 "st[3] = -1",
                 f"return _p if _p != -1 else {seq}",
             ]
@@ -1060,7 +1181,7 @@ class FastPathEngine:
                 "_p = st[2]",
                 "if _tk:",
                 "    st[4] += 1",
-                f"    st[2] = {int(flow.target)}",
+                f"    st[2] = {k(int(flow.target))}",
                 "else:",
                 "    st[2] = st[3]",
                 "st[3] = -1",

@@ -25,9 +25,10 @@ Fusion rules (what keeps a block exact):
   delay slots) is never fused.
 - Each member word's body is emitted by the same
   :meth:`FastPathEngine._emit_word` emitter that builds the per-word
-  handlers (name-prefixed so the bodies share one namespace), so the
-  bail-before-mutation contract, hazard checks, deferred-load handling,
-  and BARE-mode stale-read ordering are inherited verbatim.
+  handler templates (name-prefixed so the bodies share one namespace)
+  and rendered to literal source, so the bail-before-mutation contract,
+  hazard checks, deferred-load handling, and BARE-mode stale-read
+  ordering are inherited verbatim.
 - Progress protocol: the block reports words completed through the
   shared cell ``P[0]`` -- updated before every word that can bail and
   at every exit -- so the burst loop can expand the execution into
@@ -44,11 +45,12 @@ Fusion rules (what keeps a block exact):
 
 from __future__ import annotations
 
+from types import FunctionType
 from typing import List, Optional, Tuple
 
 from ..isa.pieces import CompareBranch, Jump, JumpIndirect
 from ..system.mapping import PAGE_SHIFT
-from .fastpath import _FALLBACK
+from .fastpath import _FALLBACK, _define
 
 #: fusion length cap: long runs split (diminishing returns, bounded
 #: invalidation blast radius)
@@ -81,14 +83,13 @@ class _Block:
 
 def build_block(engine, ctx, entry: int) -> Optional[_Block]:
     """Discover and fuse the superblock rooted at ``entry``, if any."""
-    env = engine._base_env()
-    members = _discover(engine, ctx, entry, env)
+    members = _discover(engine, ctx, entry)
     if members is None or len(members) < MIN_BLOCK_WORDS:
         return None
-    return _fuse(engine, entry, members, env)
+    return _fuse(engine, entry, members)
 
 
-def _discover(engine, ctx, entry: int, env) -> Optional[List[Tuple[int, str, object]]]:
+def _discover(engine, ctx, entry: int) -> Optional[List[Tuple[int, str, object]]]:
     """Walk forward from ``entry`` collecting fusable word IRs."""
     page = entry >> PAGE_SHIFT
     targets = engine._branch_targets
@@ -109,7 +110,7 @@ def _discover(engine, ctx, entry: int, env) -> Optional[List[Tuple[int, str, obj
         if not fusable(pc):
             break
         prefix = f"w{len(members)}_"
-        ir = engine._emit_word(ctx, pc, prefix, env)
+        ir = engine._emit_word(ctx, pc, prefix)
         if ir is None:  # pragma: no cover - fusable() already screened
             break
         if isinstance(ir.flow, JumpIndirect):
@@ -122,7 +123,7 @@ def _discover(engine, ctx, entry: int, env) -> Optional[List[Tuple[int, str, obj
             delay = pc + 1
             if len(members) < MAX_BLOCK_WORDS and fusable(delay):
                 dprefix = f"w{len(members)}_"
-                dir_ = engine._emit_word(ctx, delay, dprefix, env)
+                dir_ = engine._emit_word(ctx, delay, dprefix)
                 if dir_ is not None and dir_.flow is None:
                     members.append((delay, dprefix, dir_))
             break
@@ -131,7 +132,7 @@ def _discover(engine, ctx, entry: int, env) -> Optional[List[Tuple[int, str, obj
     return members or None
 
 
-def _fuse(engine, entry: int, members, env) -> Optional[_Block]:
+def _fuse(engine, entry: int, members) -> Optional[_Block]:
     """Generate and compile the fused handler for ``members``."""
     size = len(members)
     flow_idx = None
@@ -146,7 +147,6 @@ def _fuse(engine, entry: int, members, env) -> Optional[_Block]:
         return None
     has_store = any(ir.is_store for _, _, ir in members)
 
-    env["EP"] = engine._block_epoch
     lines: List[str] = []
     emit = lines.append
     if has_store:
@@ -168,7 +168,7 @@ def _fuse(engine, entry: int, members, env) -> Optional[_Block]:
     for k, (wpc, p, ir) in enumerate(members):
         if ir.can_bail:
             emit(ind + f"P[0] = {pos(k)}")
-        for line in ir.body:
+        for line in ir.render():
             emit(ind + line)
         if k == flow_idx:
             # the per-word epilogue, folded: the pending slots are
@@ -223,5 +223,5 @@ def _fuse(engine, entry: int, members, env) -> Optional[_Block]:
     # (flow at the last word already returned inside the loop above)
 
     src = "def _blk(regs, st, P, B):\n" + "\n".join("    " + line for line in lines)
-    exec(src, env)  # noqa: S102 - generating the fused superblock handler
-    return _Block(env["_blk"], [wpc for wpc, _, _ in members])
+    fn = FunctionType(_define(src, "_blk"), engine._env)
+    return _Block(fn, [wpc for wpc, _, _ in members])

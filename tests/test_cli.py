@@ -123,13 +123,44 @@ class TestFarmCli:
             farm_main(["run", "--workload", "nonsense"])
 
 
-def _load_bench_report():
+def _load_tool(name):
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    path = os.path.join(repo_root, "tools", "bench_report.py")
-    spec = importlib.util.spec_from_file_location("bench_report", path)
+    path = os.path.join(repo_root, "tools", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_bench_report():
+    return _load_tool("bench_report")
+
+
+class TestGenerateExperimentsArgs:
+    """Bad arguments get a usage error, never a silent full regeneration."""
+
+    @pytest.mark.parametrize(
+        "argv", (["--jobs"], ["--jobs", "two"], ["--bogus"], ["table5"]),
+        ids=("jobs-without-value", "jobs-not-a-number", "unknown-option", "positional"),
+    )
+    def test_bad_arguments_exit_2_with_usage(self, argv, capsys):
+        generator = _load_tool("generate_experiments_md")
+        with pytest.raises(SystemExit) as exc:
+            generator.main(argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: ")
+
+    def test_help_prints_usage_and_regenerates_nothing(self, capsys):
+        generator = _load_tool("generate_experiments_md")
+        with pytest.raises(SystemExit) as exc:
+            generator.main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert out.startswith("usage: ")
+        assert "--jobs N" in out
+        assert "# EXPERIMENTS" not in out
 
 
 class TestBenchGateMessage:

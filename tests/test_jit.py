@@ -132,7 +132,7 @@ def _discover_pcs(machine, entry):
     """Run the discovery walk rooted at ``entry``; member addresses."""
     engine = machine.cpu.fastpath()
     (ctx,) = engine._contexts.values()
-    members = jit_mod._discover(engine, ctx, entry, engine._base_env())
+    members = jit_mod._discover(engine, ctx, entry)
     return [pc for pc, _, _ in members or ()]
 
 

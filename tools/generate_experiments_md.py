@@ -9,6 +9,7 @@ shards them over worker processes without changing a byte of output.
 
 from __future__ import annotations
 
+import argparse
 import sys
 
 from repro.experiments import REGISTRY, run_named
@@ -180,13 +181,17 @@ optimization level.
 """
 
 
-def main() -> int:
-    jobs = 1
-    argv = sys.argv[1:]
-    if argv[:1] == ["--jobs"]:
-        jobs = int(argv[1])
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(
+        description="Regenerate EXPERIMENTS.md on stdout from live measurements."
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=1, metavar="N",
+        help="farm worker processes (the output is identical at any N)",
+    )
+    args = parser.parse_args(argv)
     print(HEADER)
-    for result in run_named(list(REGISTRY), jobs=jobs):
+    for result in run_named(list(REGISTRY), jobs=args.jobs):
         print(f"## {result.experiment_id}: {result.title}\n")
         print("| quantity | measured | paper |")
         print("|---|---|---|")
