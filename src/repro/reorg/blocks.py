@@ -12,10 +12,10 @@ classic backward dataflow over the block graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
 from ..isa.pieces import CompareBranch, Jump, JumpIndirect, Piece, Trap
-from ..isa.registers import Reg
+from ..isa.registers import ALL_REGISTERS, Reg
 
 #: a piece possibly carrying a label ("entry point" marker)
 LabeledPiece = Tuple[Optional[str], Piece]
@@ -167,8 +167,6 @@ def liveness(graph: FlowGraph) -> Dict[int, FrozenSet[Reg]]:
     Blocks with unknown successors (indirect jumps, traps, stream exits)
     conservatively treat **all** registers as live out.
     """
-    from ..isa.registers import ALL_REGISTERS
-
     all_regs = frozenset(ALL_REGISTERS)
     use: Dict[int, Set[Reg]] = {}
     defs: Dict[int, Set[Reg]] = {}
@@ -197,22 +195,3 @@ def liveness(graph: FlowGraph) -> Dict[int, FrozenSet[Reg]]:
                 live_in[block.index] = new_in
                 changed = True
     return {index: frozenset(regs) for index, regs in live_in.items()}
-
-
-def live_out(graph: FlowGraph, live_in: Dict[int, FrozenSet[Reg]], index: int) -> FrozenSet[Reg]:
-    """Registers live out of block ``index`` under the given live-in map."""
-    from ..isa.registers import ALL_REGISTERS
-
-    block = graph.blocks[index]
-    succs = graph.successors[index]
-    exits_stream = (
-        not succs
-        or isinstance(block.flow, (JumpIndirect, Trap))
-        or (block.target_label is not None and block.target_label not in graph.by_label)
-    )
-    if exits_stream:
-        return frozenset(ALL_REGISTERS)
-    out: Set[Reg] = set()
-    for s in succs:
-        out |= live_in[s]
-    return frozenset(out)

@@ -31,9 +31,9 @@ can never introduce a load-delay violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
 
-from ..isa.pieces import CompareBranch, Jump, Piece
+from ..isa.pieces import Absolute, CompareBranch, Jump, Piece
 from ..isa.registers import ALL_REGISTERS, Reg
 from ..isa.words import InstructionWord
 from .blocks import FlowGraph, liveness
@@ -56,8 +56,6 @@ class DelayFillStats:
 
 def _word_is_fillable(word: InstructionWord, allow_loads: bool) -> bool:
     """Can this word execute spuriously (schemes 2 and 3)?"""
-    from ..isa.pieces import Absolute
-
     if word.is_nop or word.flow is not None:
         return False
     for piece in word.pieces:
@@ -83,13 +81,21 @@ def _word_is_hoistable(word: InstructionWord) -> bool:
     return True
 
 
-def _depends(a: InstructionWord, b: InstructionWord) -> bool:
-    """Any register or memory dependence between two words."""
-    from ..isa.pieces import Absolute
+class _WordEffects(NamedTuple):
+    """The registers a word reads and writes, and its memory piece."""
 
-    a_reads, a_writes = set(a.reads()), set(a.writes())
-    b_reads, b_writes = set(b.reads()), set(b.writes())
-    if (a_writes & b_reads) or (a_reads & b_writes) or (a_writes & b_writes):
+    reads: FrozenSet[Reg]
+    writes: FrozenSet[Reg]
+    mem: Optional[Piece]
+
+
+def _word_effects(word: InstructionWord) -> _WordEffects:
+    return _WordEffects(word.reads(), word.writes(), word.mem)
+
+
+def _depends(a: _WordEffects, b: _WordEffects) -> bool:
+    """Any register or memory dependence between two words."""
+    if (a.writes & b.reads) or (a.reads & b.writes) or (a.writes & b.writes):
         return True
     if a.mem is not None and b.mem is not None:
         if a.mem.is_store or b.mem.is_store:
@@ -178,19 +184,25 @@ class DelaySlotFiller:
         flow_pos = sb.flow_pos
         assert flow_pos is not None
         flow_word = sb.words[flow_pos]
-        flow_reads = set(flow_word.reads())
-        flow_writes = set(flow_word.writes())  # jal/jalr write the link
+        flow_reads = flow_word.reads()
+        flow_writes = flow_word.writes()  # jal/jalr write the link
+        # effects of the words between word k and the flow word, each
+        # computed once as k walks back from the branch
+        between: List[_WordEffects] = []
         for k in range(flow_pos - 1, -1, -1):
             word = sb.words[k]
-            if not _word_is_hoistable(word):
-                continue
-            if set(word.writes()) & flow_reads:
-                continue  # the comparison depends on it
-            if (set(word.reads()) | set(word.writes())) & flow_writes:
+            effects = _word_effects(word)
+            movable = (
+                _word_is_hoistable(word)
+                # the comparison must not depend on it
+                and not effects.writes & flow_reads
                 # moving past the branch would see the link register's
                 # NEW value (or clobber it): a jal's ra is off limits
-                continue
-            if any(_depends(word, other) for other in sb.words[k + 1 : flow_pos]):
+                and not (effects.reads | effects.writes) & flow_writes
+                and not any(_depends(effects, other) for other in between)
+            )
+            between.append(effects)
+            if not movable:
                 continue
             candidate = list(sb.words)
             del candidate[k]

@@ -11,15 +11,33 @@ absolute addresses, or same unmodified base register with different
 displacements) need no edge; everything else is conservatively ordered
 ("The algorithm must also avoid reordering loads and stores that might
 be aliased").
+
+Construction summarizes every piece once (:class:`_Summary`), then
+visits each pair of pieces once.  A pair on which several dependence
+kinds apply gets one edge carrying the largest of their distances.  The
+graph is *not* transitively reduced: heights, scheduling readiness and
+the packer's independence test all read direct edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Sequence
 
-from ..isa.pieces import Absolute, Displacement, Load, Piece, Store
+from ..isa.pieces import Absolute, Displacement, Piece
+from ..isa.registers import NUM_REGISTERS, SpecialReg
 from .pipeline_model import DepKind, is_barrier, min_distance
+
+#: register sets become bit masks: general registers take bits
+#: 0..NUM_REGISTERS-1, special registers the bits above them
+_SPECIAL_BITS = {sreg: 1 << (NUM_REGISTERS + k) for k, sreg in enumerate(SpecialReg)}
+
+
+def _register_mask(regs: Iterable) -> int:
+    mask = 0
+    for reg in regs:
+        mask |= _SPECIAL_BITS[reg] if isinstance(reg, SpecialReg) else 1 << reg.number
+    return mask
 
 
 @dataclass
@@ -36,29 +54,34 @@ class DagNode:
     height: int = 0
 
 
-def _addresses_disjoint(
-    first: Piece, second: Piece, base_written_between: bool
-) -> bool:
-    """True when two memory references provably touch different words.
+class _Summary:
+    """Everything the pairwise dependence test needs to know of one piece."""
 
-    Absolute addresses are *never* disjoint from each other: the
-    absolute window hosts memory-mapped device registers, whose access
-    order is semantics (select-then-trigger protocols), not just data.
-    """
-    a, b = first.addr, second.addr  # type: ignore[union-attr]
-    if (
-        isinstance(a, Displacement)
-        and isinstance(b, Displacement)
-        and a.base == b.base
-        and not base_written_between
-    ):
-        return a.disp != b.disp
-    return False
+    __slots__ = (
+        "reads", "writes", "pinned", "memory", "store", "absolute", "base", "disp",
+        "raw", "war", "waw", "mem", "order",
+    )
 
-
-def _is_io_like(piece: Piece) -> bool:
-    """Memory pieces whose order must be pinned even against other reads."""
-    return piece.is_memory and isinstance(piece.addr, Absolute)  # type: ignore[union-attr]
+    def __init__(self, piece: Piece):
+        #: general and special registers read / written, as bit masks
+        self.reads = _register_mask(piece.reads()) | _register_mask(piece.reads_special())
+        self.writes = _register_mask(piece.writes()) | _register_mask(piece.writes_special())
+        #: barriers and flow pieces are ordered against every other piece
+        self.pinned = is_barrier(piece) or piece.is_flow
+        self.memory = piece.is_memory
+        self.store = piece.is_store
+        addr = getattr(piece, "addr", None)  # loads and stores only
+        #: absolute-addressed references may be device registers (I/O-like)
+        self.absolute = isinstance(addr, Absolute)
+        #: the disp(base) reference's base register bit (0 otherwise)
+        self.base = _register_mask((addr.base,)) if isinstance(addr, Displacement) else 0
+        self.disp = addr.disp if isinstance(addr, Displacement) else 0
+        #: the distance each dependence kind demands with this piece first
+        self.raw = min_distance(piece, DepKind.RAW)
+        self.war = min_distance(piece, DepKind.WAR)
+        self.waw = min_distance(piece, DepKind.WAW)
+        self.mem = min_distance(piece, DepKind.MEM)
+        self.order = min_distance(piece, DepKind.ORDER)
 
 
 class DependenceDag:
@@ -69,51 +92,45 @@ class DependenceDag:
         self._build()
         self._compute_heights()
 
-    def _add_edge(self, pred: int, succ: int, kind: DepKind) -> None:
-        distance = min_distance(self.nodes[pred].piece, kind)
-        node = self.nodes[pred]
-        if succ in node.succs:
-            distance = max(distance, node.succs[succ])
-        node.succs[succ] = distance
-        self.nodes[succ].preds[pred] = distance
-
     def _build(self) -> None:
-        pieces = [n.piece for n in self.nodes]
-        for j, later in enumerate(pieces):
-            j_reads = later.reads() | later.reads_special()
-            j_writes = later.writes() | later.writes_special()
+        nodes = self.nodes
+        summaries = [_Summary(node.piece) for node in nodes]
+        for j, later in enumerate(summaries):
+            j_reads, j_writes, j_pinned = later.reads, later.writes, later.pinned
+            j_memory, j_base = later.memory, later.base
+            j_preds = nodes[j].preds
+            # whether any piece strictly between i and j rewrites j's
+            # base register, which defeats the displacement alias check
             base_written = False
             for i in range(j - 1, -1, -1):
-                earlier = pieces[i]
-                i_reads = earlier.reads() | earlier.reads_special()
-                i_writes = earlier.writes() | earlier.writes_special()
-
-                if is_barrier(earlier) or is_barrier(later):
-                    self._add_edge(i, j, DepKind.ORDER)
-                if earlier.is_flow or later.is_flow:
-                    # flow ends the block: everything precedes it
-                    self._add_edge(i, j, DepKind.ORDER)
-                if i_writes & j_reads:
-                    self._add_edge(i, j, DepKind.RAW)
-                if i_reads & j_writes:
-                    self._add_edge(i, j, DepKind.WAR)
-                if i_writes & j_writes:
-                    self._add_edge(i, j, DepKind.WAW)
-
-                if later.is_memory and earlier.is_memory:
-                    either_stores = earlier.is_store or later.is_store
-                    io_pair = _is_io_like(earlier) and _is_io_like(later)
-                    if io_pair or (
-                        either_stores
-                        and not _addresses_disjoint(earlier, later, base_written)
+                earlier = summaries[i]
+                i_writes = earlier.writes
+                distance = earlier.order if j_pinned or earlier.pinned else -1
+                if i_writes & j_reads and earlier.raw > distance:
+                    distance = earlier.raw
+                if earlier.reads & j_writes and earlier.war > distance:
+                    distance = earlier.war
+                if i_writes & j_writes and earlier.waw > distance:
+                    distance = earlier.waw
+                if j_memory and earlier.memory and earlier.mem > distance:
+                    # absolute pairs (device registers) stay ordered; any
+                    # other pair with a store does unless both use one
+                    # unmodified base with different displacements
+                    if (earlier.absolute and later.absolute) or (
+                        (earlier.store or later.store)
+                        and not (
+                            j_base == earlier.base
+                            and j_base
+                            and not base_written
+                            and earlier.disp != later.disp
+                        )
                     ):
-                        self._add_edge(i, j, DepKind.MEM)
-
-                # track whether any piece between i and j (exclusive)
-                # rewrites j's base register, for the alias check
-                if later.is_memory and isinstance(later.addr, Displacement):  # type: ignore[union-attr]
-                    if later.addr.base in i_writes:  # type: ignore[union-attr]
-                        base_written = True
+                        distance = earlier.mem
+                if distance >= 0:
+                    nodes[i].succs[j] = distance
+                    j_preds[i] = distance
+                if j_base & i_writes:
+                    base_written = True
 
     def _compute_heights(self) -> None:
         for node in reversed(self.nodes):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-from ..isa.pieces import Piece
+from ..isa.pieces import Piece, ReadSpecial, Rfs, Trap, WriteSpecial
 
 #: words between a load and the first consumer of its destination
 LOAD_DELAY = 1
@@ -59,6 +59,4 @@ def is_barrier(piece: Piece) -> bool:
     with state the dependence analysis does not model finely, so they
     pin the surrounding order.
     """
-    from ..isa.pieces import ReadSpecial, Rfs, Trap, WriteSpecial
-
     return isinstance(piece, (Trap, Rfs, ReadSpecial, WriteSpecial))

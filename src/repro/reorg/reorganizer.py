@@ -19,7 +19,7 @@ The cumulative optimization levels are exactly Table 11's rows:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 

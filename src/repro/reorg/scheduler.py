@@ -12,6 +12,16 @@ The paper's algorithm (section 4.2.1):
    hole in a nonfull instruction is preferred; this provides the
    instruction packing."
 
+Step 2 is kept incrementally rather than recomputed from the DAG for
+every word.  Each node carries a count of its unplaced predecessors and
+the earliest word those already placed allow it in; placing a node (a
+word's primary piece or its packing partner) updates both for its
+successors only.  A node whose count reaches zero joins the *released*
+list, kept in source order, and the nodes generable in the current word
+are the released ones whose earliest word has come.  Step 3's load-delay
+and barrier constraints are exactly those earliest words, so one filter
+over the released list does steps 2 and 3 together.
+
 Two knobs correspond to Table 11's cumulative levels: ``reorder``
 (choose by priority rather than source order) and ``pack`` (fill the
 second slot of the current word).
@@ -19,8 +29,9 @@ second slot of the current word).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from bisect import insort
+from dataclasses import dataclass
+from typing import List, Optional, Set, Tuple
 
 from ..isa.pieces import Noop, Piece
 from ..isa.words import InstructionWord, can_pack, packable_form
@@ -84,23 +95,29 @@ def schedule_block(
         return ScheduledBlock(block, [], None)
 
     dag = DependenceDag(pieces)
-    total = len(pieces)
-    scheduled_at: Dict[int, int] = {}
+    nodes = dag.nodes
+    #: per node: predecessors not yet placed
+    waiting = [len(node.preds) for node in nodes]
+    #: per node: the earliest word its placed predecessors allow it in
+    earliest = [0] * len(nodes)
+    #: unplaced nodes whose predecessors are all placed, in index order;
+    #: empty only once every node is placed (the graph is acyclic)
+    released = [node.index for node in nodes if not node.preds]
     words: List[InstructionWord] = []
     flow_pos: Optional[int] = None
     time = 0
 
+    def place(index: int) -> None:
+        released.remove(index)
+        for succ, dist in nodes[index].succs.items():
+            if earliest[succ] < time + dist:
+                earliest[succ] = time + dist
+            waiting[succ] -= 1
+            if not waiting[succ]:
+                insort(released, succ)
+
     def ready_nodes() -> List[int]:
-        out = []
-        for node in dag.nodes:
-            if node.index in scheduled_at:
-                continue
-            if all(
-                pred in scheduled_at and scheduled_at[pred] + dist <= time
-                for pred, dist in node.preds.items()
-            ):
-                out.append(node.index)
-        return out
+        return [index for index in released if earliest[index] <= time]
 
     def choose(candidates: List[int]) -> int:
         if not reorder:
@@ -109,16 +126,16 @@ def schedule_block(
         # open a packing hole); then source order for determinism
         return max(
             candidates,
-            key=lambda i: (dag.nodes[i].height, dag.nodes[i].piece.is_memory, -i),
+            key=lambda i: (nodes[i].height, nodes[i].piece.is_memory, -i),
         )
 
     def independent(a: int, b: int) -> bool:
         """No ordering edge of distance >= 1 between the two nodes."""
-        ab = dag.nodes[a].succs.get(b)
-        ba = dag.nodes[b].succs.get(a)
+        ab = nodes[a].succs.get(b)
+        ba = nodes[b].succs.get(a)
         return (ab is None or ab == 0) and (ba is None or ba == 0)
 
-    while len(scheduled_at) < total:
+    while released:
         candidates = ready_nodes()
         if not candidates:
             words.append(InstructionWord.nop())
@@ -127,12 +144,12 @@ def schedule_block(
 
         primary = choose(candidates)
         primary_piece = pieces[primary]
-        scheduled_at[primary] = time
+        place(primary)
 
         partner: Optional[int] = None
         if pack and not primary_piece.is_flow and not isinstance(primary_piece, Noop):
-            # recompute readiness: scheduling the primary may enable a
-            # distance-0 (anti-dependent) partner in the same word
+            # placing the primary may have released a distance-0
+            # (anti-dependent) partner for the same word
             partner_candidates = ready_nodes()
             best: Optional[Tuple[int, int, Piece, Piece]] = None
             for c in partner_candidates:
@@ -153,12 +170,12 @@ def schedule_block(
                 packable = packable_form(alu)
                 if packable is None or not can_pack(mem, packable):
                     continue
-                score = dag.nodes[c].height
+                score = nodes[c].height
                 if best is None or score > best[0]:
                     best = (score, c, mem, packable)
             if best is not None:
                 partner = best[1]
-                scheduled_at[partner] = time
+                place(partner)
 
         if partner is not None and best is not None:
             word = InstructionWord.packed(best[2], best[3])
