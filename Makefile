@@ -3,11 +3,11 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test perf-gate jit-differential claims bench
+.PHONY: check lint test perf-gate engine-differential claims bench
 
 ## check: everything a push must survive -- lint + tier-1 tests + perf
-## gate (cycles + dispatch floor) + the three-tier jit differential
-check: lint test perf-gate jit-differential
+## gate (cycle counts + paper claims)
+check: lint test perf-gate
 
 lint:
 	ruff check .
@@ -15,21 +15,18 @@ lint:
 test:
 	$(PYTHON) -m pytest -x -q
 
-## perf-gate: the blocking deterministic gates -- cycle counts, the
-## dispatch-count throughput floor, and the paper claims
+## perf-gate: the blocking deterministic gates -- cycle counts and the
+## paper claims
 perf-gate:
 	$(PYTHON) tools/bench_report.py cycles
-	$(PYTHON) tools/bench_report.py dispatch
 	$(PYTHON) -m repro.perf claims
 
-## jit-differential: corpus profiles byte-identical across all tiers,
-## chaos green on every engine, and the hot-loop speedup floor
-jit-differential:
+## engine-differential: corpus profiles byte-identical on the reference
+## stepper and the fast path
+engine-differential:
+	$(PYTHON) -m repro.perf corpus --engine precise > /tmp/profiles-precise.jsonl
 	$(PYTHON) -m repro.perf corpus --engine fast > /tmp/profiles-fast.jsonl
-	$(PYTHON) -m repro.perf corpus --engine jit > /tmp/profiles-jit.jsonl
-	cmp /tmp/profiles-fast.jsonl /tmp/profiles-jit.jsonl
-	$(PYTHON) -m repro.chaos run --seed 7 --engine all
-	$(PYTHON) -m pytest -q benchmarks/test_jit_speedup.py
+	cmp /tmp/profiles-precise.jsonl /tmp/profiles-fast.jsonl
 
 claims:
 	$(PYTHON) -m repro.perf claims

@@ -3,7 +3,7 @@
 Not a paper result -- it keeps the fuzz harness fast enough to matter.
 Two floors: generating and oracle-checking instruction-stream cases
 must sustain a minimum cases/sec serially (the full differential
-oracle, three engines per case), and sharding a mixed batch over four
+oracle, two engines per case), and sharding a mixed batch over four
 farm workers must beat serial execution by >= 2x on a machine with at
 least four cores.  Whatever the core count, the sharded stable records
 must be identical to the serial ones -- parallelism buys time, never

@@ -28,7 +28,7 @@ import hashlib
 import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..farm.worker import _json_safe, fingerprint_digest
+from ..farm.worker import ENGINES, _json_safe, fingerprint_digest
 from .engine import ChaosRun, _collect_outputs, run_plan
 from .invariants import check_panic_record
 from .plan import ChaosPlan, injection, make_plan, plan_rng
@@ -360,7 +360,6 @@ def run_campaign_plan(
             target,
             plan,
             fast=(engine_name != "precise"),
-            jit=(engine_name == "jit"),
             max_steps=campaign.max_steps,
         )
     violations: List[Dict[str, Any]] = []
@@ -422,7 +421,7 @@ def run_campaign_plan(
                             "engine": engine_name,
                         }
                     )
-    ordered = [name for name in ("fast", "precise", "jit") if name in runs]
+    ordered = [name for name in ENGINES if name in runs]
     for i, left_name in enumerate(ordered):
         for right_name in ordered[i + 1:]:
             left, right = runs[left_name], runs[right_name]

@@ -113,12 +113,6 @@ def sim_main(argv=None) -> int:
     )
     parser.add_argument("--input", type=int, action="append", default=[])
     parser.add_argument(
-        "--jit",
-        action="store_true",
-        help="enable profile-guided superblock fusion on the fast path "
-        "(behaviour and output are bit-identical; hot loops run faster)",
-    )
-    parser.add_argument(
         "--lang",
         default="asm",
         help="source language: asm (default), pascal, or minijava "
@@ -146,7 +140,7 @@ def sim_main(argv=None) -> int:
         inputs=args.input,
     )
     try:
-        stats = machine.run(args.max_steps, jit=args.jit)
+        stats = machine.run(args.max_steps)
     except (MachineFault, KernelPanic) as exc:
         return _report_guest_failure(machine, exc)
     except TimeoutError:
@@ -299,6 +293,8 @@ def experiments_main(argv=None) -> int:
 
 def _add_batch_options(parser) -> None:
     """Job-selection flags shared by ``mips-farm run`` and ``mips-serve``."""
+    from .farm.worker import ENGINES
+
     parser.add_argument(
         "--workload",
         action="append",
@@ -330,11 +326,10 @@ def _add_batch_options(parser) -> None:
     parser.add_argument("--max-steps", type=int, default=30_000_000)
     parser.add_argument(
         "--sim-engine",
-        choices=["fast", "jit", "precise"],
+        choices=ENGINES,
         default="fast",
         dest="sim_engine",
-        help="simulation engine for workload jobs (results are identical; "
-        "'jit' is fastest on loop-heavy workloads)",
+        help="simulation engine for workload jobs (results are identical)",
     )
 
 
@@ -584,6 +579,8 @@ def farm_main(argv=None) -> int:
 
 def chaos_main(argv=None) -> int:
     """``mips-chaos``: seeded fault-injection campaigns with verification."""
+    from .farm.worker import ENGINES
+
     parser = argparse.ArgumentParser(
         description="deterministic fault injection with recovery verification"
     )
@@ -600,11 +597,10 @@ def chaos_main(argv=None) -> int:
     )
     run_p.add_argument(
         "--engine",
-        choices=["fast", "precise", "jit", "both", "all"],
+        choices=[*ENGINES, "both"],
         default="both",
-        help="execution engine(s); 'both' runs fast+precise, 'all' adds the "
-        "superblock JIT tier -- multi-engine runs check the full pairwise "
-        "differential",
+        help="execution engine(s); 'both' runs fast+precise and checks the "
+        "pairwise differential",
     )
     run_p.add_argument(
         "--results", metavar="FILE", help="stream result records to a JSON-lines file"
@@ -632,10 +628,7 @@ def chaos_main(argv=None) -> int:
         parser.error(
             f"unknown campaigns: {', '.join(unknown)} (have: {', '.join(sorted(CAMPAIGNS))})"
         )
-    engines = {
-        "both": ("fast", "precise"),
-        "all": ("fast", "precise", "jit"),
-    }.get(args.engine, (args.engine,))
+    engines = ENGINES if args.engine == "both" else (args.engine,)
 
     store = ResultStore(args.results) if args.results else None
     failed = 0
@@ -850,6 +843,8 @@ def prof_main(argv=None) -> int:
     repeated runs -- diff two invocations to prove a change is
     cycle-neutral.
     """
+    from .farm.worker import ENGINES
+
     parser = argparse.ArgumentParser(
         description="per-PC guest profiler with hardware-style counters"
     )
@@ -868,10 +863,9 @@ def prof_main(argv=None) -> int:
     )
     run_p.add_argument(
         "--engine",
-        choices=["fast", "precise", "jit"],
+        choices=ENGINES,
         default="fast",
-        help="execution engine (output is identical whichever runs; with "
-        "'jit', hot entries additionally report their compilation tier)",
+        help="execution engine (output is identical whichever runs)",
     )
     run_p.add_argument("--mode", choices=["bare", "checked", "interlocked"], default="bare")
     run_p.add_argument("--max-steps", type=int, default=30_000_000)
@@ -887,7 +881,7 @@ def prof_main(argv=None) -> int:
     )
     corpus_p.add_argument(
         "--engine",
-        choices=["fast", "precise", "jit"],
+        choices=ENGINES,
         default="fast",
         help="execution engine for every corpus job (profiles are identical "
         "whichever runs -- CI diffs them to prove it)",
@@ -975,11 +969,7 @@ def _prof_run(args) -> int:
     machine = Machine(program, hazard_mode=HazardMode(args.mode), inputs=args.input)
     Profiler().attach(machine.cpu)
     try:
-        machine.run(
-            args.max_steps,
-            fast=(args.engine != "precise"),
-            jit=(args.engine == "jit"),
-        )
+        machine.run(args.max_steps, fast=(args.engine != "precise"))
     except (MachineFault, KernelPanic) as exc:
         return _report_guest_failure(machine, exc)
     except TimeoutError:
@@ -988,9 +978,7 @@ def _prof_run(args) -> int:
             file=sys.stderr,
         )
         return EXIT_STEP_BUDGET
-    profile = build_profile(
-        machine.cpu, program, top=args.top, name=name, tiers=(args.engine == "jit")
-    )
+    profile = build_profile(machine.cpu, program, top=args.top, name=name)
     if args.format == "json":
         print(render_json(profile))
     elif args.format == "collapsed":

@@ -130,19 +130,14 @@ class Job:
         )
 
 
-def _engine_spec(engine: str, engine_stats: bool) -> Dict[str, Any]:
+def _engine_spec(engine: str) -> Dict[str, Any]:
     """Spec fragment selecting the simulation engine.
 
     The default engine ("fast") is omitted from the spec so every job
     key minted before engines existed stays stable -- cached results
     keep matching.
     """
-    spec: Dict[str, Any] = {}
-    if engine != "fast":
-        spec["engine"] = engine
-    if engine_stats:
-        spec["engine_stats"] = True
-    return spec
+    return {} if engine == "fast" else {"engine": engine}
 
 
 def workload_jobs(
@@ -152,14 +147,10 @@ def workload_jobs(
     max_steps: int = 30_000_000,
     register_allocation: bool = True,
     engine: str = "fast",
-    engine_stats: bool = False,
 ) -> Tuple[Job, ...]:
     """One simulation job per named corpus workload.
 
-    ``engine`` selects the simulation tier ("fast", "jit", "precise");
-    ``engine_stats=True`` records the fast-path dispatch counters in
-    the result's extras (deterministic -- the CI dispatch gate keys on
-    them).
+    ``engine`` selects the simulation engine ("fast" or "precise").
     """
     return tuple(
         Job(
@@ -167,7 +158,7 @@ def workload_jobs(
             name=name,
             spec={
                 "register_allocation": register_allocation,
-                **_engine_spec(engine, engine_stats),
+                **_engine_spec(engine),
             },
             hazard_mode=hazard_mode,
             opt_level=opt_level,
@@ -184,7 +175,6 @@ def profile_jobs(
     opt_level: str = "branch-delay",
     max_steps: int = 30_000_000,
     engine: str = "fast",
-    engine_stats: bool = False,
 ) -> Tuple[Job, ...]:
     """Workload jobs with per-PC profiling enabled.
 
@@ -199,7 +189,7 @@ def profile_jobs(
             spec={
                 "register_allocation": True,
                 "profile": top if top is not None else True,
-                **_engine_spec(engine, engine_stats),
+                **_engine_spec(engine),
             },
             hazard_mode=hazard_mode,
             opt_level=opt_level,

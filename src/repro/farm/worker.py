@@ -110,16 +110,16 @@ def _error_info(exc: BaseException) -> Dict[str, Any]:
     return info
 
 
-#: engine names a job spec may select (default "fast"; "jit" layers
-#: superblock fusion on the fast path, "precise" is the per-step loop)
-ENGINES = ("fast", "jit", "precise")
+#: engine names a job spec may select (default "fast"; "precise" is the
+#: per-step reference loop)
+ENGINES = ("fast", "precise")
 
 
 def _engine_args(engine: str) -> Dict[str, bool]:
     """Map an engine name onto Machine.run keyword arguments."""
     if engine not in ENGINES:
         raise ValueError(f"unknown engine {engine!r} (have {', '.join(ENGINES)})")
-    return {"fast": engine != "precise", "jit": engine == "jit"}
+    return {"fast": engine != "precise"}
 
 
 def _run_machine(record: Dict[str, Any], machine, max_steps: int, engine: str = "fast") -> None:
@@ -204,21 +204,6 @@ def _export_profile(record: Dict[str, Any], job: Mapping[str, Any], machine, pro
     )
 
 
-def _export_engine_stats(record: Dict[str, Any], job: Mapping[str, Any], machine) -> None:
-    """Record the fast-path engine's dispatch counters when asked.
-
-    Dispatch accounting (handler dispatches, block entries, reference
-    steps) is deterministic per workload, which is what lets CI gate on
-    it machine-independently; wall-clock noise never enters.
-    """
-    spec = job.get("spec", {})
-    if not spec.get("engine_stats") or spec.get("engine", "fast") == "precise":
-        return
-    from dataclasses import asdict
-
-    record["extra"]["engine_stats"] = asdict(machine.cpu.fastpath().stats)
-
-
 def _execute_simulation(record: Dict[str, Any], job: Mapping[str, Any]) -> None:
     compiled = _compile_workload(job)
     machine = _build_machine(job, compiled.program)
@@ -227,7 +212,6 @@ def _execute_simulation(record: Dict[str, Any], job: Mapping[str, Any]) -> None:
     engine = job.get("spec", {}).get("engine", "fast")
     _run_machine(record, machine, job.get("max_steps", 30_000_000), engine)
     _export_profile(record, job, machine, compiled.program)
-    _export_engine_stats(record, job, machine)
 
 
 def _execute_asm(record: Dict[str, Any], job: Mapping[str, Any]) -> None:
@@ -243,7 +227,6 @@ def _execute_asm(record: Dict[str, Any], job: Mapping[str, Any]) -> None:
     _attach_profiler(job, machine)
     _run_machine(record, machine, job.get("max_steps", 30_000_000), spec.get("engine", "fast"))
     _export_profile(record, job, machine, program)
-    _export_engine_stats(record, job, machine)
 
 
 def _execute_experiment(record: Dict[str, Any], job: Mapping[str, Any]) -> None:

@@ -8,7 +8,7 @@ valid scenarios at two levels (mini-Pascal programs via
 :mod:`repro.fuzz.astgen`, raw instruction streams via
 :mod:`repro.fuzz.wordgen`), and the differential oracle
 (:mod:`repro.fuzz.oracle`) runs every case through each engine pair we
-have: reference vs fast path vs JIT, every optimization level, the CC
+have: reference vs fast path, every optimization level, the CC
 baseline where the program compiles for it, and a sampled chaos fault
 schedule with the recovery-contract checker armed.
 

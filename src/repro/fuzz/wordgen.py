@@ -5,7 +5,7 @@ straight at the machine: it emits assembly text the compiler would
 never produce -- branch/delay-slot corners, immediate-boundary
 constants straddling Table 1's encodings, condition-set chains, packed
 words, ``mstep``/``dstep`` sequences -- and the differential oracle
-demands all three engines agree on the outcome word for word.
+demands both engines agree on the outcome word for word.
 
 Generation is organized in **units**: small atomic line groups (a
 branch plus its delay slot plus its landing label, a counted loop, a

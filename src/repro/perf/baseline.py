@@ -26,8 +26,8 @@ from ..workloads.corpus import QUICK_PROGRAMS
 from ..workloads.minijava import MINIJAVA_PROGRAMS
 
 #: the default gate collection: the quick Pascal corpus plus the
-#: MiniJava corpus, so the cycle and dispatch gates watch both front
-#: ends' code generation (vtable dispatch and heap traffic included)
+#: MiniJava corpus, so the cycle gate watches both front ends' code
+#: generation (vtable dispatch and heap traffic included)
 GATE_PROGRAMS = tuple(QUICK_PROGRAMS) + tuple(MINIJAVA_PROGRAMS)
 
 #: relative growth in any gated counter that fails the gate
@@ -96,78 +96,18 @@ def collect_cycles(
     return dict(sorted(out.items()))
 
 
-#: the dispatch-floor counters (machine-independent throughput proxy):
-#: ``dispatches`` is every per-word handler entry plus every fused-block
-#: entry plus every reference-stepper delegation -- the number of times
-#: the engine paid a dispatch, which wall-clock throughput tracks but
-#: which, unlike wall clock, is exactly reproducible anywhere
-DISPATCH_COUNTERS = (
-    "dispatches",
-    "ref_steps",
-)
-
-
-def collect_dispatch(
-    names: Sequence[str] = GATE_PROGRAMS,
-    jobs: int = 1,
-    store=None,
-    cache=None,
-    hosts: Optional[Sequence[str]] = None,
-) -> Dict[str, Dict[str, int]]:
-    """Per-workload dispatch counts under the JIT engine, via the farm.
-
-    Runs every workload with ``engine="jit"`` and the engine-stats
-    export on; burst boundaries, heat accumulation, and block formation
-    are all serial and exact, so the counts are bit-identical on any
-    machine -- which is what lets CI gate throughput without touching a
-    clock.  ``cache`` serves repeat collections from the persistent
-    result cache (the engine-stats live in the cached record's extras).
-    ``hosts`` runs the collection on the distributed farm, identically.
-    """
-    from ..farm.job import workload_jobs
-
-    records = _gate_scheduler(jobs, store, cache, hosts).run(
-        workload_jobs(list(names), engine="jit", engine_stats=True)
-    )
-    out: Dict[str, Dict[str, int]] = {}
-    for record in records:
-        if record["status"] != "ok":
-            raise RuntimeError(
-                f"workload {record['name']!r} did not complete cleanly "
-                f"(status={record['status']}): cannot build a trustworthy baseline"
-            )
-        engine_stats = record["extra"].get("engine_stats") or {}
-        dispatches = (
-            int(engine_stats.get("word_dispatches", 0))
-            + int(engine_stats.get("block_entries", 0))
-            + int(engine_stats.get("ref_steps", 0))
-        )
-        out[record["name"]] = {
-            "dispatches": dispatches,
-            "ref_steps": int(engine_stats.get("ref_steps", 0)),
-        }
-    return dict(sorted(out.items()))
-
-
-def baseline_document(
-    benchmarks: Dict[str, Dict[str, int]],
-    counters: Sequence[str] = GATED_COUNTERS,
-) -> Dict[str, Any]:
+def baseline_document(benchmarks: Dict[str, Dict[str, int]]) -> Dict[str, Any]:
     return {
         "version": BASELINE_VERSION,
         "threshold": DEFAULT_THRESHOLD,
-        "counters": list(counters),
+        "counters": list(GATED_COUNTERS),
         "benchmarks": benchmarks,
     }
 
 
-def write_baseline(
-    path: str,
-    benchmarks: Dict[str, Dict[str, int]],
-    counters: Sequence[str] = GATED_COUNTERS,
-) -> None:
+def write_baseline(path: str, benchmarks: Dict[str, Dict[str, int]]) -> None:
     with open(path, "w") as fh:
-        json.dump(baseline_document(benchmarks, counters), fh, indent=2, sort_keys=True)
+        json.dump(baseline_document(benchmarks), fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -223,20 +163,18 @@ def compare(
     return regressions
 
 
-def render_gate(
-    regressions: Sequence[Regression],
-    threshold: float = DEFAULT_THRESHOLD,
-    gate_name: str = "perf gate",
-    refresh_command: str = "python tools/bench_report.py update-baseline",
-) -> str:
+def render_gate(regressions: Sequence[Regression], threshold: float = DEFAULT_THRESHOLD) -> str:
     if not regressions:
-        return f"{gate_name}: ok (no counter grew more than {threshold * 100:.0f}%)\n"
+        return f"perf gate: ok (no counter grew more than {threshold * 100:.0f}%)\n"
     worst = regressions[0]
     lines = [
-        f"{gate_name}: FAIL -- {len(regressions)} counter(s) grew more than "
+        f"perf gate: FAIL -- {len(regressions)} counter(s) grew more than "
         f"{threshold * 100:.0f}%",
         f"worst offender: {worst.render()}",
     ]
     lines += [f"  {regression.render()}" for regression in regressions]
-    lines.append(f"if this growth is intended, refresh the baseline with: {refresh_command}")
+    lines.append(
+        "if this growth is intended, refresh the baseline with: "
+        "python tools/bench_report.py update-baseline"
+    )
     return "\n".join(lines) + "\n"

@@ -20,8 +20,7 @@ its own values -- bytecode identical to compiling its literal source,
 at a fraction of the cost.  Emitters therefore never let two literals
 meet in one constant-foldable expression (e.g. an immediate's sign bias
 is applied at emit time), and template compilation asserts that every
-slot survived as its own constant.  The superblock tier
-(:mod:`repro.sim.jit`) renders the same templates to literal source.
+slot survived as its own constant.
 
 Correctness discipline (what keeps the fast path bit-for-bit identical
 to :meth:`Cpu.step`):
@@ -55,7 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from types import FunctionType
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..isa.bits import u32
 from ..isa.encoding import decode
@@ -143,13 +142,6 @@ class _Slots(list):
         return "{%d}" % (len(self) - 1)
 
 
-def _define(src: str, name: str):
-    """Compile generated ``def name(...)`` source; return its code object."""
-    namespace: Dict[str, object] = {}
-    exec(src, namespace)  # noqa: S102 - generating threaded-code handlers
-    return namespace[name].__code__
-
-
 @dataclass
 class EngineStats:
     """Fast-path diagnostics (engine-specific -- the reference stepper
@@ -162,16 +154,16 @@ class EngineStats:
     bails: int = 0           # handlers that punted pre-mutation at run time
     invalidations: int = 0   # compiled words dropped (SMC, DMA, loader pokes)
     bursts: int = 0          # batched inner-loop entries
-    # dispatch accounting (deterministic per workload: burst boundaries,
-    # heat accumulation, and block formation are all serial and exact)
+    # dispatch accounting (deterministic per workload: burst boundaries
+    # are serial and exact, so word_dispatches + ref_steps == words)
     word_dispatches: int = 0    # words executed through per-address handlers
     ref_steps: int = 0          # words delegated to the reference stepper
-    # superblock (JIT second gear) tier
-    block_compiles: int = 0     # superblocks fused
-    block_entries: int = 0      # fused-handler invocations
-    block_bails: int = 0        # block executions that punted mid-block
-    block_invalidations: int = 0  # blocks dropped (SMC, DMA, page-map change)
-    fused_words: int = 0        # total words folded into superblocks
+    # always 0: the removed superblock tier's counters, still listed as
+    # per-layer metrics by the benchmark
+    block_compiles: int = 0
+    block_entries: int = 0
+    block_bails: int = 0
+    fused_words: int = 0
 
 
 class _Context:
@@ -182,7 +174,7 @@ class _Context:
     Handler caches are keyed by word address.
     """
 
-    __slots__ = ("key", "handlers", "deltas", "blocks", "jit_attempted")
+    __slots__ = ("key", "handlers", "deltas")
 
     def __init__(self, key: int):
         self.key = key
@@ -190,34 +182,23 @@ class _Context:
         #: address -> (pieces, noops, loads, stores, branches,
         #:             taken_static, mem_used, note)
         self.deltas: Dict[int, tuple] = {}
-        #: entry address -> fused superblock (populated only with JIT on)
-        self.blocks: Dict[int, object] = {}
-        #: entries/members already considered for fusion (no re-tries)
-        self.jit_attempted: set = set()
 
 
 class _WordIR:
     """One word's emitted straight-line code, sans epilogue.
 
     ``body`` is everything the per-word handler does except next-PC
-    selection, so the superblock fuser can concatenate bodies and write
-    its own control flow around them.  Its lines are template text whose
-    placeholders index ``slots``.
+    selection, which :meth:`FastPathEngine._emit_epilogue` appends.  Its
+    lines are template text whose placeholders index ``slots``.
     """
 
-    __slots__ = ("body", "slots", "flow", "delta", "can_bail", "is_store")
+    __slots__ = ("body", "slots", "flow", "delta")
 
-    def __init__(self, body, slots, flow, delta, can_bail, is_store):
+    def __init__(self, body, slots, flow, delta):
         self.body = body
         self.slots = slots
         self.flow = flow
         self.delta = delta
-        self.can_bail = can_bail
-        self.is_store = is_store
-
-    def render(self) -> List[str]:
-        """The body as literal source lines."""
-        return [line.format(*self.slots) for line in self.body]
 
 
 class FastPathEngine:
@@ -243,66 +224,12 @@ class FastPathEngine:
         self.last_run_steps = 0
         self.stats = EngineStats()
         self._st = [-1, 0, -1, -1, 0]
-        # ---- superblock JIT (second gear) state ----------------------
-        self._jit = False
-        self._jit_threshold = 64
-        #: per-PC execution heat (JIT mode only; seeded from an attached
-        #: profiler so tiering warms up from live counts)
-        self._heat: Dict[int, int] = {}
-        #: every compile-time-known branch target (block split points)
-        self._branch_targets: set = set()
-        #: member address -> [(context, block entry), ...]
-        self._block_members: Dict[int, list] = {}
-        #: bumped on every invalidation; running blocks compare against
-        #: their entry snapshot and exit early when it moves
-        self._block_epoch = [0]
-        #: shared progress cell: blocks report words completed through it
-        self._progress = [0]
         #: template text -> (code, co_consts, slot indices into co_consts)
         self._templates: Dict[str, tuple] = {}
-        #: the globals every generated handler (word or block) runs with
+        #: the globals every generated handler runs with
         self._env = self._globals() if self._supported else None
         if self._supported and hasattr(physical, "watch_hook"):
             physical.watch_hook = self._on_external_write
-        pagemap = getattr(mem, "pagemap", None)
-        if pagemap is not None and hasattr(pagemap, "change_hook"):
-            pagemap.change_hook = self._on_pagemap_change
-
-    def enable_jit(self, threshold: Optional[int] = None) -> None:
-        """Turn on profile-guided superblock fusion (the second gear).
-
-        Hot straight-line runs and loop bodies are fused into single
-        compiled handlers once their entry's execution count crosses
-        ``threshold``.  Heat comes from live execution; an attached
-        :class:`~repro.perf.profiler.Profiler`'s per-PC counts seed it,
-        so no ahead-of-time profile files are involved.
-        """
-        if threshold is not None:
-            self._jit_threshold = threshold
-        if self._jit:
-            return
-        self._jit = True
-        profiler = self.cpu.profiler
-        if profiler is not None and profiler.counts:
-            heat = self._heat
-            hget = heat.get
-            for wpc, c in profiler.counts.items():
-                heat[wpc] = hget(wpc, 0) + c
-
-    @property
-    def jit_enabled(self) -> bool:
-        return self._jit
-
-    def tier(self, pc: int) -> str:
-        """The JIT tier serving ``pc``: fused / threaded / interpreted."""
-        for bctx, entry in self._block_members.get(pc, ()):
-            if entry in bctx.blocks:
-                return "fused"
-        for ctx in self._contexts.values():
-            h = ctx.handlers.get(pc)
-            if h is not None and h is not _FALLBACK:
-                return "threaded"
-        return "interpreted"
 
     # ------------------------------------------------------------------
     # driving loop
@@ -326,7 +253,6 @@ class FastPathEngine:
         surprise = cpu.surprise
         contexts = self._contexts
         estats = self.stats
-        burst = self._burst_jit if self._jit else self._burst
         steps = 0
         self.last_run_steps = 0
         supported = self._supported and not self._disabled
@@ -351,7 +277,7 @@ class FastPathEngine:
                 budget = max_steps - steps
                 if cycle_limit is not None:
                     budget = min(budget, cycle_limit - stats.cycles)
-                n = burst(ctx, budget)
+                n = self._burst(ctx, budget)
                 steps += n
                 self.last_run_steps = steps
                 if self._disabled:
@@ -499,242 +425,6 @@ class FastPathEngine:
         return n
 
     # ------------------------------------------------------------------
-    # the JIT burst: same contract as _burst, plus the superblock tier
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _expand_block(blk, executed: int, counts: Dict[int, int], get_count) -> None:
-        """Unfold a block execution into per-word counts.
-
-        Execution order inside a block is always member order (repeated
-        for looping blocks), so ``executed`` words decompose into whole
-        passes plus a prefix -- which keeps the counts x deltas flush,
-        profiler merge, and counter groups bit-identical to per-word
-        execution.
-        """
-        size = blk.size
-        full, rem = divmod(executed, size)
-        for i, wpc in enumerate(blk.pcs):
-            c = full + 1 if i < rem else full
-            if c:
-                counts[wpc] = get_count(wpc, 0) + c
-
-    def _burst_jit(self, ctx: _Context, budget: int) -> int:
-        """The burst loop with superblock dispatch layered on top.
-
-        Kept separate from :meth:`_burst` so the ``jit=False`` inner
-        loop is untouched -- same bytecode, same speed, same output.
-        """
-        cpu = self.cpu
-        regs = cpu.regs
-        st = self._st
-        estats = self.stats
-        estats.bursts += 1
-
-        deferred = cpu._deferred_load
-        if deferred:
-            if len(deferred) != 1:  # cannot happen architecturally
-                self._disabled = True
-                return 0
-            (st[0], st[1]), = deferred.items()
-        else:
-            st[0] = -1
-        p1 = p2 = -1
-        for countdown, target in cpu._pending_branches:
-            if countdown == 1:
-                p1 = target
-            elif countdown == 2:
-                p2 = target
-            else:  # not a state the CPU can produce
-                self._disabled = True
-                return 0
-        st[2], st[3], st[4] = p1, p2, 0
-
-        pc = cpu.pc
-        n = 0
-        pword = 0  # words run through per-address handlers (not blocks)
-        counts: Dict[int, int] = {}
-        #: block -> words executed through it this burst; expanded into
-        #: per-word counts once, at the flush
-        bcounts: Dict[object, int] = {}
-        handlers = ctx.handlers
-        blocks = ctx.blocks
-        get_handler = handlers.get
-        get_block = blocks.get
-        get_count = counts.get
-        bget = bcounts.get
-        P = self._progress
-        #: next per-word n at which to scan for newly hot entries --
-        #: without this, a trap-free hot loop would spend the whole
-        #: burst in per-word dispatch and only fuse at the final flush
-        check_at = 4096
-        try:
-            while n < budget:
-                if n >= check_at:
-                    check_at = n + 4096
-                    self._scan_heat(ctx, counts)
-                h = get_handler(pc)
-                if h is None:
-                    # fusing evicts the entry's per-word handler, so a
-                    # block entry lands here -- the per-word hot loop
-                    # pays nothing for block dispatch
-                    blk = get_block(pc)
-                    if blk is not None:
-                        # blocks assume empty pending-branch slots at
-                        # entry (that is what lets them drop per-word
-                        # epilogues) and a budget for one full pass
-                        if st[2] == -1 and st[3] == -1 and budget - n >= blk.size:
-                            estats.block_entries += 1
-                            P[0] = 0
-                            try:
-                                npc = blk.fn(regs, st, P, budget - n)
-                            except _Bail:
-                                estats.block_bails += 1
-                                executed = P[0]
-                                bcounts[blk] = bget(blk, 0) + executed
-                                n += executed
-                                # the bailed word re-executes on the
-                                # reference stepper after the flush
-                                pc = blk.pcs[executed % blk.size]
-                                break
-                            executed = P[0]
-                            bcounts[blk] = bget(blk, 0) + executed
-                            n += executed
-                            pc = npc
-                            continue
-                        # block not enterable right now: run the entry
-                        # word the ordinary way, without reinstalling it
-                        h = blk.word_handler
-                    else:
-                        if pc in counts or bcounts:
-                            # invalidated mid-burst: flush the executions
-                            # of the old word (or of any block member,
-                            # which only bcounts can see) against the old
-                            # deltas first
-                            break
-                        h = self._compile(ctx, pc)
-                if h is _FALLBACK:
-                    break
-                try:
-                    npc = h(regs, st)
-                except _Bail:
-                    estats.bails += 1
-                    break
-                counts[pc] = get_count(pc, 0) + 1
-                pc = npc
-                n += 1
-                pword += 1
-        finally:
-            # ---- flush stats (counts x static deltas) -----------------
-            estats.word_dispatches += pword
-            if bcounts:
-                for blk, executed in bcounts.items():
-                    self._expand_block(blk, executed, counts, get_count)
-            stats = cpu.stats
-            if counts:
-                deltas = ctx.deltas
-                words = pieces = noops = loads = stores = 0
-                branches = taken = mem_used = 0
-                for wpc, c in counts.items():
-                    d = deltas[wpc]
-                    words += c
-                    pieces += c * d[0]
-                    noops += c * d[1]
-                    loads += c * d[2]
-                    stores += c * d[3]
-                    branches += c * d[4]
-                    taken += c * d[5]
-                    mem_used += c * d[6]
-                    if d[7] is not None:
-                        stats.ref_notes[d[7]] += c
-                stats.words += words
-                stats.cycles += words
-                stats.pieces += pieces
-                stats.noops += noops
-                stats.loads += loads
-                stats.stores += stores
-                stats.branches += branches
-                stats.branches_taken += taken + st[4]
-                stats.memory_cycles_used += mem_used
-                stats.free_memory_cycles += words - mem_used
-                mstats = self._phys.stats
-                mstats.fetches += words
-                mstats.reads += loads
-                mstats.writes += stores
-                profiler = cpu.profiler
-                if profiler is not None:
-                    pcounts = profiler.counts
-                    pget = pcounts.get
-                    for wpc, c in counts.items():
-                        pcounts[wpc] = pget(wpc, 0) + c
-                # ---- tiering: accumulate heat, fuse fresh hot entries -
-                heat = self._heat
-                hget = heat.get
-                thr = self._jit_threshold
-                btargets = self._branch_targets
-                attempted = ctx.jit_attempted
-                for wpc, c in counts.items():
-                    total = hget(wpc, 0) + c
-                    heat[wpc] = total
-                    if total >= thr and wpc in btargets and wpc not in attempted:
-                        self._build_block(ctx, wpc)
-            elif st[4]:  # pragma: no cover - taken implies counts
-                stats.branches_taken += st[4]
-
-            # ---- sync pipeline state back to the CPU ------------------
-            cpu.pc = pc
-            cpu._deferred_load = {st[0]: st[1]} if st[0] != -1 else {}
-            pending = []
-            if st[2] != -1:
-                pending.append([1, st[2]])
-            if st[3] != -1:
-                pending.append([2, st[3]])
-            cpu._pending_branches = pending
-        return n
-
-    def _scan_heat(self, ctx: _Context, counts: Dict[int, int]) -> None:
-        """Mid-burst tier check: fuse entries whose projected heat
-        (committed heat + this burst's so-far counts) crossed the
-        threshold.  Heat itself is only committed at the flush, so this
-        never double-counts."""
-        heat = self._heat
-        hget = heat.get
-        thr = self._jit_threshold
-        btargets = self._branch_targets
-        attempted = ctx.jit_attempted
-        for wpc, c in counts.items():
-            if (
-                hget(wpc, 0) + c >= thr
-                and wpc in btargets
-                and wpc not in attempted
-            ):
-                self._build_block(ctx, wpc)
-
-    def _build_block(self, ctx: _Context, entry: int) -> None:
-        """Try to fuse a superblock rooted at ``entry`` (once)."""
-        ctx.jit_attempted.add(entry)
-        from .jit import build_block  # local import: jit.py imports us
-
-        blk = build_block(self, ctx, entry)
-        if blk is None:
-            return
-        self.stats.block_compiles += 1
-        self.stats.fused_words += blk.size
-        ctx.blocks[entry] = blk
-        # evict the entry's per-word handler (discovery compiled it)
-        # into the block: block entry then rides the handler-miss path,
-        # so the per-word hot loop pays nothing for block dispatch; the
-        # evicted handler still serves arrivals that cannot enter the
-        # block.  _compiled_pcs keeps the entry, so the memory watch
-        # hook still sees external writes to it.
-        blk.word_handler = ctx.handlers.pop(entry)
-        members = self._block_members
-        for addr in blk.pcs:
-            # members never seed their own (overlapping) block
-            ctx.jit_attempted.add(addr)
-            members.setdefault(addr, []).append((ctx, entry))
-
-    # ------------------------------------------------------------------
     # invalidation (self-modifying code, DMA, loader pokes)
     # ------------------------------------------------------------------
 
@@ -749,40 +439,10 @@ class FastPathEngine:
         for ctx in self._contexts.values():
             ctx.handlers.pop(addr, None)
         self._compiled_pcs.discard(addr)
-        entries = self._block_members.pop(addr, None)
-        if entries:
-            # a running block observes the epoch move at its next safe
-            # boundary and exits back to per-word dispatch
-            self._block_epoch[0] += 1
-            for bctx, entry in entries:
-                blk = bctx.blocks.pop(entry, None)
-                if blk is None:
-                    continue
-                self.stats.block_invalidations += 1
-                for member in blk.pcs:
-                    bctx.jit_attempted.discard(member)
 
     def _on_external_write(self, addr: int) -> None:
         if addr in self._compiled_pcs:
             self._invalidate(addr)
-
-    def _on_pagemap_change(self) -> None:
-        """Page-map mutation: conservatively drop every fused block.
-
-        Blocks only ever execute with mapping off, but a remap changes
-        what a later mapped fetch may alias, so the cheap safe answer is
-        to fall back to per-address handlers and re-fuse on heat.
-        """
-        dropped = 0
-        for ctx in self._contexts.values():
-            if ctx.blocks:
-                dropped += len(ctx.blocks)
-                ctx.blocks.clear()
-                ctx.jit_attempted.clear()
-        if dropped:
-            self.stats.block_invalidations += dropped
-            self._block_members.clear()
-            self._block_epoch[0] += 1
 
     # ------------------------------------------------------------------
     # compilation
@@ -810,7 +470,6 @@ class FastPathEngine:
             "OVF": alu_overflows,
             "FPCS": self._compiled_pcs,
             "INVAL": self._invalidate,
-            "EP": self._block_epoch,
         }
         for op in _OVF_OPS:
             env[f"OP_{op.name}"] = op
@@ -822,7 +481,7 @@ class FastPathEngine:
         ``source.format(*ir.slots)`` is the handler's literal source;
         ``None`` when the word belongs to the reference stepper.
         """
-        ir = self._emit_word(ctx, pc, "")
+        ir = self._emit_word(ctx, pc)
         if ir is None:
             return None
         body = ir.body + self._emit_epilogue(ir.flow, pc, ir.slots)
@@ -848,7 +507,9 @@ class FastPathEngine:
         and find where each sentinel landed in ``co_consts``."""
         self.stats.templates += 1
         sentinels = range(_SENTINEL, _SENTINEL + nslots)
-        code = _define(src.format(*sentinels), "_h")
+        namespace: Dict[str, object] = {}
+        exec(src.format(*sentinels), namespace)  # noqa: S102 - generating threaded-code handlers
+        code = namespace["_h"].__code__
         consts = code.co_consts
         for sentinel in sentinels:
             # a slot folded into a neighbouring literal would leave every
@@ -856,14 +517,11 @@ class FastPathEngine:
             assert sentinel in consts, f"slot folded away in template:\n{src}"
         return code, consts, tuple(consts.index(s) for s in sentinels)
 
-    def _emit_word(self, ctx: _Context, pc: int, p: str):
+    def _emit_word(self, ctx: _Context, pc: int):
         """Emit the straight-line IR of the word at ``pc``.
 
-        ``p`` prefixes every generated temporary so several words can be
-        fused into one namespace by the superblock builder; the per-word
-        handlers use the empty prefix.  Returns a :class:`_WordIR` (body
-        sans next-PC epilogue) or ``None`` when the word belongs to the
-        reference stepper.
+        Returns a :class:`_WordIR` (body sans next-PC epilogue) or
+        ``None`` when the word belongs to the reference stepper.
         """
         from .cpu import HazardMode  # local import: cpu.py imports us lazily
 
@@ -913,8 +571,8 @@ class FastPathEngine:
             if isinstance(piece, WriteSpecial):
                 if piece.sreg is not SpecialReg.LO:
                     return None
-                pre.append(f"_{p}w{idx} = {self._operand(piece.src, k)}")
-                commit.append(f"CPU.lo = _{p}w{idx}")
+                pre.append(f"_w{idx} = {self._operand(piece.src, k)}")
+                commit.append(f"CPU.lo = _w{idx}")
                 continue
             if isinstance(piece, MovImm):
                 commit.append(f"regs[{k(piece.dst.number)}] = {k(piece.value)}")
@@ -923,30 +581,28 @@ class FastPathEngine:
                 commit.append(f"regs[{k(piece.dst.number)}] = {k(u32(piece.value))}")
                 continue
             if isinstance(piece, Alu):
-                lines = self._emit_alu(piece, idx, ovf_enabled, k, p)
+                lines = self._emit_alu(piece, idx, ovf_enabled, k)
                 if lines is None:
                     return None
                 pre.extend(lines)
-                commit.append(f"regs[{k(piece.dst.number)}] = _{p}t{idx}")
+                commit.append(f"regs[{k(piece.dst.number)}] = _t{idx}")
                 continue
             if isinstance(piece, SetCond):
-                pre.append(f"_{p}t{idx} = 1 if {self._emit_cond(piece, k)} else 0")
-                commit.append(f"regs[{k(piece.dst.number)}] = _{p}t{idx}")
+                pre.append(f"_t{idx} = 1 if {self._emit_cond(piece, k)} else 0")
+                commit.append(f"regs[{k(piece.dst.number)}] = _t{idx}")
                 continue
             if isinstance(piece, CompareBranch):
                 if not isinstance(piece.target, int):
                     return None
-                self._branch_targets.add(int(piece.target))
-                pre.append(f"_{p}tk = {self._emit_cond(piece, k)}")
+                pre.append(f"_tk = {self._emit_cond(piece, k)}")
                 if interlocked:
                     # taken branches squash the pipe: reference work
-                    pre.append(f"if _{p}tk: raise _B")
+                    pre.append("if _tk: raise _B")
                 flow = piece
                 continue
             if isinstance(piece, Jump):
                 if not isinstance(piece.target, int) or interlocked:
                     return None
-                self._branch_targets.add(int(piece.target))
                 if piece.link:
                     commit.append(f"regs[{RA.number}] = {k(pc + 1 + piece.delay_slots)}")
                 flow = piece
@@ -954,7 +610,7 @@ class FastPathEngine:
             if isinstance(piece, JumpIndirect):
                 if interlocked:
                     return None
-                pre.append(f"_{p}tgt = regs[{k(piece.reg.number)}]")
+                pre.append(f"_tgt = regs[{k(piece.reg.number)}]")
                 if piece.link:
                     commit.append(f"regs[{RA.number}] = {k(pc + 1 + piece.delay_slots)}")
                 flow = piece
@@ -966,37 +622,37 @@ class FastPathEngine:
         # ---- memory reference -----------------------------------------
         mem_lines: list = []
         if mem_piece is not None:
-            ea = self._emit_ea(mem_piece, pre, k, p)
+            ea = self._emit_ea(mem_piece, pre, k)
             if ea is None:
                 return None
             note = mem_piece.note
             if isinstance(mem_piece, Load):
-                mem_lines.append(f"_{p}vld = MWG({ea}, 0)")
+                mem_lines.append(f"_vld = MWG({ea}, 0)")
                 load_dst = k(mem_piece.dst.number)
             else:
-                pre.append(f"_{p}vst = regs[{k(mem_piece.src.number)}]")
-                mem_lines.append(f"MW[{ea}] = _{p}vst")
+                pre.append(f"_vst = regs[{k(mem_piece.src.number)}]")
+                mem_lines.append(f"MW[{ea}] = _vst")
                 mem_lines.append(f"if {ea} in FPCS: INVAL({ea})")
 
         # ---- assemble the body ----------------------------------------
         body: list = []
         if (checked or interlocked) and reads:
-            conflict = " or ".join(f"_{p}dr == {k(r)}" for r in reads)
-            body.append(f"_{p}dr = st[0]")
-            body.append(f"if _{p}dr != -1 and ({conflict}): raise _B")
+            conflict = " or ".join(f"_dr == {k(r)}" for r in reads)
+            body.append("_dr = st[0]")
+            body.append(f"if _dr != -1 and ({conflict}): raise _B")
         body.extend(pre)
         body.extend(mem_lines)
-        body.append(f"_{p}d = st[0]")
-        body.append(f"if _{p}d != -1:")
-        body.append(f"    regs[_{p}d] = st[1]")
+        body.append("_d = st[0]")
+        body.append("if _d != -1:")
+        body.append("    regs[_d] = st[1]")
         if load_dst is None:
             body.append("    st[0] = -1")
         body.extend(commit)
         if load_dst is not None:
             if interlocked:
-                body.append(f"regs[{load_dst}] = _{p}vld")
+                body.append(f"regs[{load_dst}] = _vld")
             body.append(f"st[0] = {load_dst}")
-            body.append(f"st[1] = _{p}vld")
+            body.append("st[1] = _vld")
 
         branches = 1 if flow is not None else 0
         taken_static = 1 if isinstance(flow, (Jump, JumpIndirect)) else 0
@@ -1010,8 +666,7 @@ class FastPathEngine:
             1 if word.uses_memory else 0,
             note,
         )
-        can_bail = any("raise" in line for line in body)
-        return _WordIR(body, k, flow, delta, can_bail, isinstance(mem_piece, Store))
+        return _WordIR(body, k, flow, delta)
 
     # ---- emit helpers -----------------------------------------------------
 
@@ -1057,27 +712,25 @@ class FastPathEngine:
             mask = f"regs[{k(s2.number)}]"
         return f"({cls._operand(s1, k)} & {mask}) {rel} 0"
 
-    def _emit_alu(
-        self, piece: Alu, idx: int, ovf_enabled: bool, k: _Slots, p: str = ""
-    ) -> Optional[list]:
-        lines = [f"_{p}a{idx} = {self._operand(piece.s1, k)}"]
-        a = f"_{p}a{idx}"
+    def _emit_alu(self, piece: Alu, idx: int, ovf_enabled: bool, k: _Slots) -> Optional[list]:
+        lines = [f"_a{idx} = {self._operand(piece.s1, k)}"]
+        a = f"_a{idx}"
         op = piece.op
         if op is AluOp.MOV:
-            lines.append(f"_{p}t{idx} = {a}")
+            lines.append(f"_t{idx} = {a}")
             return lines
         if op is AluOp.NOT:
-            lines.append(f"_{p}t{idx} = {a} ^ 4294967295")
+            lines.append(f"_t{idx} = {a} ^ 4294967295")
             return lines
         if op is AluOp.IC:
-            lines.append(f"_{p}sh = (CPU.lo & 3) * 8")
+            lines.append("_sh = (CPU.lo & 3) * 8")
             lines.append(
-                f"_{p}t{idx} = (regs[{k(piece.dst.number)}] & ~(255 << _{p}sh) & 4294967295)"
-                f" | (({a} & 255) << _{p}sh)"
+                f"_t{idx} = (regs[{k(piece.dst.number)}] & ~(255 << _sh) & 4294967295)"
+                f" | (({a} & 255) << _sh)"
             )
             return lines
-        lines.append(f"_{p}b{idx} = {self._operand(piece.s2, k)}")
-        b = f"_{p}b{idx}"
+        lines.append(f"_b{idx} = {self._operand(piece.s2, k)}")
+        b = f"_b{idx}"
         if ovf_enabled and op in _OVF_OPS:
             lines.append(f"if OVF(OP_{op.name}, {a}, {b}): raise _B")
         if op is AluOp.ADD:
@@ -1106,21 +759,21 @@ class FastPathEngine:
         elif op is AluOp.MSTEP:
             expr = f"({a} * 2 + {b}) & 4294967295"
         elif op is AluOp.DSTEP:
-            lines.append(f"_{p}sh = ({a} << 1) & 4294967295")
+            lines.append(f"_sh = ({a} << 1) & 4294967295")
             lines.append(
-                f"_{p}t{idx} = (_{p}sh - {b}) | 1 if _{p}sh >= {b} else _{p}sh & 4294967294"
+                f"_t{idx} = (_sh - {b}) | 1 if _sh >= {b} else _sh & 4294967294"
             )
             return lines
         else:
             return None
-        lines.append(f"_{p}t{idx} = {expr}")
+        lines.append(f"_t{idx} = {expr}")
         return lines
 
-    def _emit_ea(self, piece, pre: list, k: _Slots, p: str = "") -> Optional[str]:
+    def _emit_ea(self, piece, pre: list, k: _Slots) -> Optional[str]:
         """Emit effective-address computation + bail checks; returns its name."""
         size = self._phys.size
         addr = piece.addr
-        ea = f"_{p}ea"
+        ea = "_ea"
         if isinstance(addr, Absolute):
             ea_val = addr.addr
             if not 0 <= ea_val < size:

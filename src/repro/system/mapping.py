@@ -57,23 +57,16 @@ class PageMap:
         self.pending_fault: Optional[int] = None
         #: clock hand for victim suggestion (a page number)
         self._clock_hand: int = -1
-        #: called (no arguments) after every map/unmap -- the fast-path
-        #: JIT registers here to drop fused superblocks on remaps
-        self.change_hook = None
 
     def map_page(self, page: int, frame: int) -> None:
         self.entries[page] = frame
         self.referenced[page] = False
         self.dirty[page] = False
-        if self.change_hook is not None:
-            self.change_hook()
 
     def unmap_page(self, page: int) -> None:
         self.entries.pop(page, None)
         self.referenced.pop(page, None)
         self.dirty.pop(page, None)
-        if self.change_hook is not None:
-            self.change_hook()
 
     def entry_value(self, page: int) -> int:
         """The PM_ENTRY register view of a page's entry."""

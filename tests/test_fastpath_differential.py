@@ -30,6 +30,7 @@ from repro.isa.pieces import (
 from repro.isa.registers import Reg, SpecialReg
 from repro.isa.words import InstructionWord
 from repro.mjlang import compile_minijava
+from repro.perf.baseline import GATE_PROGRAMS
 from repro.reorg import OptLevel
 from repro.sim import HazardMode, HazardViolation, Machine, state_fingerprint
 from repro.sim.cpu import Cpu
@@ -150,31 +151,57 @@ SELF_MODIFY_SOURCE = """
 """
 
 
-@pytest.mark.parametrize(
-    "first",
-    ("mov #1, r1", "movi #1, r1"),
-    ids=("other-template", "same-template"),
-)
-def test_self_modifying_code_invalidates_compiled_handlers(first):
-    """A store over an already-executed word takes effect identically.
+POKE_SOURCE = """
+        start:  mov #0, r5
+        loop:   movi #1, r1     ; poked to `movi #2,r1` between passes
+                trap #1
+                add r5, #1, r5
+                blo r5, #2, loop
+                nop
+                trap #0
+"""
+#: words POKE_SOURCE runs before its second pass reaches ``loop``
+POKE_FIRST_PASS = 6
 
+
+@pytest.mark.parametrize(
+    "source,poke",
+    (
+        (SELF_MODIFY_SOURCE.format(first="mov #1, r1"), False),
+        (SELF_MODIFY_SOURCE.format(first="movi #1, r1"), False),
+        (POKE_SOURCE, True),
+    ),
+    ids=("other-template", "same-template", "mid-run-poke"),
+)
+def test_self_modifying_code_invalidates_compiled_handlers(source, poke):
+    """A write over an already-executed word takes effect identically.
+
+    In the first two cases the guest's own store rewrites ``loop``.
     ``movi #1, r1`` and its replacement ``movi #2, r1`` share one handler
     template: the recompiled word must still see its own constant, so the
-    template cache is keyed by neither address nor value.
+    template cache is keyed by neither address nor value.  In
+    ``mid-run-poke`` the program never stores; the host pokes ``loop``
+    between passes, the path DMA and loader writes take through the
+    memory watch hook.
     """
     from repro.asm.assembler import assemble
 
-    program = assemble(SELF_MODIFY_SOURCE.format(first=first))
+    program = assemble(source)
     patched_bits = encode(InstructionWord.single(MovImm(2, Reg(1))))
     machines = []
     for fast in (True, False):
         machine = Machine(program)
-        machine.memory.poke(program.symbol("patch"), patched_bits)
+        if poke:
+            machine.run_steps(POKE_FIRST_PASS, fast=fast)
+            machine.memory.poke(program.symbol("loop"), patched_bits)
+        else:
+            machine.memory.poke(program.symbol("patch"), patched_bits)
         machine.run(fast=fast)
         machines.append(machine)
     fast_m, ref_m = machines
     assert fast_m.output == [1, 2]
     _assert_identical(fast_m, ref_m)
+    assert fast_m.cpu.fastpath().stats.invalidations >= 1
 
 
 @pytest.mark.parametrize(
@@ -207,6 +234,49 @@ def test_kernel_differential(quantum, max_frames):
     for pid in range(len(programs)):
         assert fast_k.output(pid) == ref_k.output(pid)
         assert fast_k.process_state(pid) == ref_k.process_state(pid)
+
+
+# ---------------------------------------------------------------------------
+# dispatch accounting: every fast-engine word is a handler dispatch or a
+# reference step
+# ---------------------------------------------------------------------------
+
+#: fast-engine reference steps per gate workload: its traps, plus every
+#: word a burst hands back to the reference stepper
+GATE_REF_STEPS = {
+    "calc": 5,
+    "fib_iterative": 3,
+    "fib_recursive": 3,
+    "hashsym": 7,
+    "logic": 7,
+    "mj_list": 11,
+    "mj_shapes": 9,
+    "mj_tree": 11,
+    "scanner": 9,
+    "sieve": 5,
+    "sort": 9,
+    "strings": 9,
+    "vlsi_rects": 5,
+    "wordcount": 7,
+}
+
+
+def test_gate_workloads_pin_reference_steps():
+    """Each gate workload's words split exactly into handler dispatches
+    and reference steps, and the reference steps are pinned: a word that
+    newly falls back to the reference stepper fails here, not only as a
+    slowdown."""
+    assert sorted(GATE_REF_STEPS) == sorted(GATE_PROGRAMS)
+    for name in GATE_PROGRAMS:
+        if name in MINIJAVA_CORPUS:
+            program = compile_minijava(MINIJAVA_CORPUS[name]).program
+        else:
+            program = compile_source(CORPUS[name]).program
+        machine = Machine(program)
+        words = machine.run(30_000_000).words
+        stats = machine.cpu.fastpath().stats
+        assert stats.ref_steps == GATE_REF_STEPS[name], name
+        assert stats.word_dispatches + stats.ref_steps == words, name
 
 
 # ---------------------------------------------------------------------------

@@ -31,28 +31,17 @@ Four subcommands:
     an intended cycle-count change and commit the diff -- the diff *is*
     the reviewable record of the regression/improvement.
 
-``dispatch`` / ``update-dispatch-baseline``
-    The machine-independent throughput floor.  Simulates the quick
-    corpus on the JIT engine and gates the per-workload *dispatch
-    counts* (per-word handler entries + fused-block entries + reference
-    steps, from the engine's deterministic accounting) against the
-    committed ``DISPATCH_BASELINE.json``; any workload growing more
-    than 2% fails, naming the worst offender.  This is what lets CI
-    block on throughput without ever reading a clock -- wall-clock
-    benchmarks stay nightly-only.
-
 Benchmark execution goes through :mod:`repro.farm`: each benchmark is
 one job with a wall-clock budget and transient-failure retries, and
 ``--jobs N`` shards them over worker processes (keep the default of 1
 for timing fidelity on small machines -- concurrent benchmarks steal
-each other's cycles).  The deterministic gates (``cycles``,
-``dispatch``) additionally accept ``--cache DIR``: counters are exact
-per content-addressed job key, so a repeat gate run against a warm
-cache (e.g. one populated by ``mips-serve``) re-simulates nothing.
-They also accept ``--host SPEC`` (repeatable): the collection then runs
-on the distributed farm's shard hosts, and because the counters are
-exact per job key the gate verdict is identical wherever the workloads
-simulated.
+each other's cycles).  The deterministic ``cycles`` gate additionally
+accepts ``--cache DIR``: counters are exact per content-addressed job
+key, so a repeat gate run against a warm cache (e.g. one populated by
+``mips-serve``) re-simulates nothing.  It also accepts ``--host SPEC``
+(repeatable): the collection then runs on the distributed farm's shard
+hosts, and because the counters are exact per job key the gate verdict
+is identical wherever the workloads simulated.
 
 Usage::
 
@@ -227,9 +216,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _gate_cache(args):
-    """The persistent result cache for the deterministic gates, if asked.
+    """The persistent result cache for the deterministic gate, if asked.
 
-    Counters and dispatch counts are exact per job key, so a warm cache
+    Counters are exact per job key, so a warm cache
     serves a repeated gate run without re-simulating a single workload
     -- CI and local pre-commit loops share the directory.
     """
@@ -272,59 +261,6 @@ def cmd_update_baseline(args: argparse.Namespace) -> int:
     print(f"wrote {os.path.relpath(PERF_BASELINE, REPO_ROOT)}")
     for name, counters in current.items():
         print(f"  {name}: {counters['cycles']} cycles")
-    return 0
-
-
-DISPATCH_BASELINE = os.path.join(REPO_ROOT, "DISPATCH_BASELINE.json")
-
-
-def cmd_dispatch(args: argparse.Namespace) -> int:
-    """The machine-independent throughput floor.
-
-    Wall-clock throughput is proportional to how many dispatches the
-    engine pays per workload, and -- unlike wall clock -- the dispatch
-    count under the JIT engine is exactly reproducible on any machine.
-    Any workload whose count grows past the threshold fails, naming the
-    worst offender.
-    """
-    from repro.perf import baseline as perf_baseline
-
-    current = perf_baseline.collect_dispatch(
-        jobs=args.jobs, cache=_gate_cache(args), hosts=args.host
-    )
-    for name, counters in current.items():
-        print(f"  {name}: {counters['dispatches']} dispatches, {counters['ref_steps']} ref steps")
-    gate_path = args.gate or DISPATCH_BASELINE
-    if not os.path.exists(gate_path):
-        print(f"no baseline at {os.path.relpath(gate_path, REPO_ROOT)}; skipping gate")
-        return 0
-    baseline = perf_baseline.load_baseline(gate_path)
-    threshold = args.threshold if args.threshold is not None else baseline.get(
-        "threshold", perf_baseline.DEFAULT_THRESHOLD
-    )
-    regressions = perf_baseline.compare(baseline, current, threshold)
-    print(
-        perf_baseline.render_gate(
-            regressions,
-            threshold,
-            gate_name="dispatch gate",
-            refresh_command="python tools/bench_report.py update-dispatch-baseline",
-        ),
-        end="",
-    )
-    return 1 if regressions else 0
-
-
-def cmd_update_dispatch_baseline(args: argparse.Namespace) -> int:
-    from repro.perf import baseline as perf_baseline
-
-    current = perf_baseline.collect_dispatch(jobs=args.jobs)
-    perf_baseline.write_baseline(
-        DISPATCH_BASELINE, current, counters=perf_baseline.DISPATCH_COUNTERS
-    )
-    print(f"wrote {os.path.relpath(DISPATCH_BASELINE, REPO_ROOT)}")
-    for name, counters in current.items():
-        print(f"  {name}: {counters['dispatches']} dispatches")
     return 0
 
 
@@ -391,45 +327,6 @@ def main(argv=None) -> int:
     upd_p = sub.add_parser("update-baseline", help="rewrite PERF_BASELINE.json from a fresh run")
     upd_p.add_argument("--jobs", type=int, default=1)
     upd_p.set_defaults(func=cmd_update_baseline)
-
-    dis_p = sub.add_parser(
-        "dispatch", help="deterministic dispatch-count gate vs DISPATCH_BASELINE.json"
-    )
-    dis_p.add_argument("--gate", help="explicit baseline path (default DISPATCH_BASELINE.json)")
-    dis_p.add_argument(
-        "--threshold",
-        type=float,
-        default=None,
-        help="max tolerated dispatch growth fraction (default: baseline's, 0.02)",
-    )
-    dis_p.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="farm workers (dispatch counts are deterministic; parallelism is free here)",
-    )
-    dis_p.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="persistent result cache: repeat gate runs are served without "
-        "re-simulating (dispatch counts are content-addressed by job key)",
-    )
-    dis_p.add_argument(
-        "--host",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        help="collect on the distributed farm shard host at HOST:PORT "
-        "(repeatable; dispatch counts and gate verdict are identical either way)",
-    )
-    dis_p.set_defaults(func=cmd_dispatch)
-
-    dup_p = sub.add_parser(
-        "update-dispatch-baseline",
-        help="rewrite DISPATCH_BASELINE.json from a fresh run",
-    )
-    dup_p.add_argument("--jobs", type=int, default=1)
-    dup_p.set_defaults(func=cmd_update_dispatch_baseline)
 
     args = parser.parse_args(argv)
     return args.func(args)

@@ -66,7 +66,7 @@ differences worth calling out:
 | `pipeline` | words, pieces/word, load stalls, branch flush cycles | Tables 9-11 (pipeline scheduling), section 4.2 |
 | `mix` | executed piece operations by name | Table 7/8 context (operation usage) |
 | `system` | page-map translations/faults, DMA traffic | sections 3.1-3.2 (memory mapping, free-cycle DMA) |
-| `engine` | fast-path compiles/bails/invalidations, dispatch counts, superblock compiles/entries/bails (diagnostic only) | -- (excluded from cross-engine output) |
+| `engine` | fast-path compiles/bails/invalidations, dispatch counts (diagnostic only) | -- (excluded from cross-engine output) |
 
 `mips-prof claims` re-asserts the paper's bands on the live counters
 over the corpus (Table 1 coverage as floors, free cycles >= the
@@ -81,23 +81,10 @@ cycles` re-simulates the quick corpus and compares per-workload
 cycle/stall/memory counters against the committed
 `PERF_BASELINE.json`, failing on any >2% growth with the worst
 workload and counter named (`update-baseline` refreshes it after an
-intended change, and the diff is the reviewable record).  A second
-blocking gate is the machine-independent throughput floor:
-`tools/bench_report.py dispatch` runs the quick corpus on the JIT
-engine and counts *dispatches* -- per-word handler entries plus
-fused-superblock entries plus reference steps.  Burst boundaries, heat
-accumulation, and block formation are all serial and exact, so the
-count per workload is a deterministic integer (identical on any
-machine, at any `--jobs N`), and any workload needing >2% more
-dispatches than the committed `DISPATCH_BASELINE.json` fails the build
-with the worst offender named.  That catches tiering regressions --
-blocks no longer fusing, handlers degrading to reference steps --
-without reading a clock; after an intended dispatch-count change
-(e.g. retuning fusion heuristics), refresh with
-`tools/bench_report.py update-dispatch-baseline` and commit the diff.
+intended change, and the diff is the reviewable record).
 The wall-clock backstop is nightly: `tools/bench_report.py run`
 snapshots the housekeeping throughput benchmarks (simulator fast path,
-reference stepper, JIT tier, compiler, kernel boot) into a dated
+reference stepper, compiler, kernel boot) into a dated
 `BENCH_<date>.json`, and `tools/bench_report.py compare` re-runs them
 against the latest committed snapshot, failing on any >20% mean-time
 regression -- noisy runners flag rather than block.
@@ -151,8 +138,8 @@ seeded generators produce unbounded valid mini-Pascal programs
 (wraparound edge-value arithmetic, nested control flow, procedures,
 arrays) and raw instruction streams (branch/delay-slot corners,
 immediate boundaries, packed pairs), and a differential oracle demands
-bit-identical outcomes across the reference stepper, the threaded fast
-path, and the JIT at every optimization level, plus CC-baseline output
+bit-identical outcomes across the reference stepper and the threaded
+fast path at every optimization level, plus CC-baseline output
 equality and a sampled chaos schedule.  Case identity is pure
 `(seed, index)`, batches are content-addressed farm jobs, and CI's
 fuzz smoke job runs a fixed-seed batch at two parallelism levels and
@@ -174,7 +161,7 @@ words) -- branches a condition code cannot help, which is the paper's
 Table 3 argument from a direction the Pascal corpus never exercises.
 Aggregated over both corpora the claims gate still holds (operator CC
 savings stay under the 2% band; free data-memory cycles stay above
-the 35% floor), and the `minijava-differential` CI job holds the
+the 35% floor), and the `engine-differential` CI job holds the
 second front end to the same oracle as the first: byte-identical
 fingerprints, counters, and output across every engine and
 optimization level.
