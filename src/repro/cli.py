@@ -6,11 +6,8 @@
 ``mips-reorg file.s``     reorganize a piece stream at every level
 ``mipsc file.pas``        compile mini-Pascal and run it
 ``mips-experiments``      run the paper's tables and figures (``--jobs N``)
-``mips-farm``             batch simulation service: ``run`` / ``status`` /
-                          ``host`` (distributed shard host)
+``mips-farm``             batch simulation service: ``run`` / ``status``
 ``mips-chaos``            fault-injection campaigns: ``run`` / ``list``
-``mips-serve``            gateway + result cache: ``serve`` / ``submit`` /
-                          ``status`` / ``warm``
 ========================  ===================================================
 """
 
@@ -292,7 +289,7 @@ def experiments_main(argv=None) -> int:
 
 
 def _add_batch_options(parser) -> None:
-    """Job-selection flags shared by ``mips-farm run`` and ``mips-serve``."""
+    """Job-selection flags for ``mips-farm run``."""
     from .farm.worker import ENGINES
 
     parser.add_argument(
@@ -359,9 +356,7 @@ def _batch_jobs(args, parser):
 def _write_stable_results(path: str, records) -> None:
     """Stable-view JSONL in submission order -- deterministic at any --jobs.
 
-    These are the same bytes, line for line, that ``mips-serve submit``
-    streams for the same job list, which is what lets CI ``cmp`` a
-    gateway run against a direct farm run.
+    These are the bytes CI ``cmp``s between a serial and a sharded run.
     """
     from .farm.store import stable_view
 
@@ -397,87 +392,13 @@ def farm_main(argv=None) -> int:
         "--stable-results",
         metavar="FILE",
         help="write stable-view JSONL in submission order (deterministic bytes "
-        "at any --jobs; comparable with a `mips-serve submit` stream)",
-    )
-    run_p.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="persistent result cache: serve content-addressed hits without "
-        "executing, store completed deterministic results back",
-    )
-    run_p.add_argument(
-        "--hosts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="distributed mode: spawn N localhost shard hosts and run the "
-        "batch across them (aggregate digest is identical at any N)",
-    )
-    run_p.add_argument(
-        "--host",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        dest="host_specs",
-        help="distributed mode: connect to an already-running shard host at "
-        "HOST:PORT (repeatable; ':PORT' means localhost); combinable with "
-        "--hosts",
-    )
-    run_p.add_argument(
-        "--host-workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes per --hosts-spawned shard host "
-        "(default: cpu count / hosts)",
-    )
-    run_p.add_argument(
-        "--no-steal",
-        action="store_true",
-        help="distributed mode: disable work stealing (static round-robin "
-        "sharding only; results are identical, load balance is not)",
-    )
-    run_p.add_argument(
-        "--kill-host-after",
-        type=int,
-        default=None,
-        metavar="J",
-        help="fault injection: SIGKILL the first --hosts-spawned shard host "
-        "once J results are in, to exercise dead-host reclamation "
-        "(CI asserts the digest survives this)",
+        "at any --jobs)",
     )
 
     status_p = sub.add_parser("status", help="summarize a results file")
     status_p.add_argument("results", help="JSON-lines file written by `mips-farm run`")
 
-    host_p = sub.add_parser(
-        "host", help="run a distributed shard host (a `mips-farm run --host` target)"
-    )
-    host_p.add_argument(
-        "--port",
-        type=int,
-        default=0,
-        help="TCP port to listen on (default: OS-assigned, announced on stdout)",
-    )
-    host_p.add_argument("--bind", default="127.0.0.1", help="address to bind")
-    host_p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="local forked worker processes (default: cpu count)",
-    )
-
     args = parser.parse_args(argv)
-
-    if args.command == "host":
-        from .farm.dist.host import main as host_main
-
-        host_argv = ["--port", str(args.port), "--bind", args.bind]
-        if args.workers is not None:
-            host_argv += ["--workers", str(args.workers)]
-        return host_main(host_argv)
-
     from .farm import ResultStore, Scheduler, aggregate, render_summary
 
     if args.command == "status":
@@ -493,45 +414,11 @@ def farm_main(argv=None) -> int:
         kwargs["timeout_s"] = args.timeout
     if args.retries is not None:
         kwargs["max_attempts"] = 1 + args.retries
-    if args.cache:
-        from .service.cache import ResultCache
-
-        kwargs["cache"] = ResultCache(args.cache)
-    if args.kill_host_after is not None and not args.hosts:
-        parser.error("--kill-host-after needs --hosts (it kills a spawned host)")
 
     store = ResultStore(args.results) if args.results else None
-    pool = None
     try:
-        if args.hosts or args.host_specs:
-            from .farm.dist import DistScheduler, LocalShardPool
-
-            specs = list(args.host_specs)
-            if args.hosts:
-                pool = LocalShardPool(args.hosts, workers_per_host=args.host_workers)
-                specs = pool.specs + specs
-            on_progress = None
-            if args.kill_host_after is not None:
-                victim_pool, threshold, killed = pool, args.kill_host_after, []
-
-                def on_progress(done: int) -> None:
-                    if done >= threshold and not killed:
-                        killed.append(True)
-                        victim_pool.kill(0)
-
-            scheduler = DistScheduler(
-                hosts=specs,
-                store=store,
-                steal=not args.no_steal,
-                on_progress=on_progress,
-                **kwargs,
-            )
-        else:
-            scheduler = Scheduler(jobs=args.jobs, store=store, **kwargs)
-        report = scheduler.run_report(job_list)
+        report = Scheduler(jobs=args.jobs, store=store, **kwargs).run_report(job_list)
     finally:
-        if pool is not None:
-            pool.close()
         if store is not None:
             store.close()
     if args.stable_results:
@@ -539,40 +426,19 @@ def farm_main(argv=None) -> int:
     for record in report.records:
         status = record["status"]
         line = f"{record['name']:24s} {status:8s} attempt(s)={record['attempts']}"
-        if record.get("cached"):
-            line += " (cached)"
         if record["stats"]:
             line += f" cycles={record['cycles']} words={record['words']}"
         if record["error"]:
             line += f"  {record['error'].get('type', '')}: {record['error'].get('message', '')}"
         print(line)
     summary = aggregate(report.records)
-    if report.hosts:
-        mode = f"{len(report.hosts)} shard host(s)"
-        if report.degraded_serial:
-            mode += " + serial tail"
-    elif report.degraded_serial:
-        mode = "serial (in-process)"
-    else:
-        mode = f"{args.jobs} workers"
+    mode = "serial (in-process)" if report.degraded_serial else f"{args.jobs} workers"
     print()
-    farm_line = (
+    print(
         f"farm: {report.submitted} jobs via {mode}, "
         f"{report.retries} retries, {report.crashes} crashes, "
         f"{report.timeouts} timeouts, {report.wall_s:.2f}s wall"
     )
-    if report.hosts:
-        farm_line += f", {report.stolen} stolen, {report.reclaimed} reclaimed"
-    if args.cache:
-        farm_line += f", {report.cache_hits} cache hits / {report.cache_misses} misses"
-    print(farm_line)
-    for host_id, acct in sorted(report.hosts.items()):
-        state = "" if acct["alive"] else " LOST"
-        print(
-            f"  shard {host_id}: workers={acct['workers']} jobs={acct['jobs']} "
-            f"stolen={acct['stolen']} reclaimed={acct['reclaimed']} "
-            f"retries={acct['retries']}{state}"
-        )
     print(render_summary(summary))
     return 0 if summary["by_status"].get("ok", 0) == summary["jobs"] else 1
 
@@ -660,179 +526,6 @@ def chaos_main(argv=None) -> int:
         summary = aggregate(ResultStore.load(args.results))
         print(f"aggregate digest: {summary['digest']}")
     return 1 if failed else 0
-
-
-def serve_main(argv=None) -> int:
-    """``mips-serve``: the simulation gateway and its command-line clients.
-
-    ``serve`` runs the asyncio HTTP/JSON gateway in front of the farm;
-    ``submit`` posts a batch and streams deterministic stable-view
-    JSONL to stdout; ``status`` reads the gateway counters (or one
-    cached result by job key); ``warm`` populates the on-disk cache
-    offline, no server required.
-    """
-    parser = argparse.ArgumentParser(
-        description="simulation-as-a-service gateway with a persistent "
-        "content-addressed result cache"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    serve_p = sub.add_parser("serve", help="run the HTTP/JSON gateway")
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=None, help="TCP port (default 8471)")
-    serve_p.add_argument(
-        "--cache",
-        default=".mips-cache",
-        metavar="DIR",
-        help="persistent result cache directory (default .mips-cache)",
-    )
-    serve_p.add_argument(
-        "--jobs", type=int, default=1, metavar="N", help="farm worker processes per batch"
-    )
-    serve_p.add_argument(
-        "--quota",
-        type=int,
-        default=None,
-        metavar="N",
-        help="per-tenant bound on jobs executing or queued (default 64); "
-        "a request pushing past it gets 429 + Retry-After",
-    )
-    serve_p.add_argument(
-        "--shard",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        help="front the distributed farm: run batches on the shard host at "
-        "HOST:PORT instead of the local pool (repeatable; start hosts "
-        "with `mips-farm host`)",
-    )
-
-    submit_p = sub.add_parser(
-        "submit", help="submit a batch, stream stable-view JSONL to stdout"
-    )
-    submit_p.add_argument("--host", default="127.0.0.1")
-    submit_p.add_argument("--port", type=int, default=None)
-    submit_p.add_argument("--tenant", default="anon", help="quota accounting identity")
-    submit_p.add_argument(
-        "--results", metavar="FILE", help="also write the streamed lines to FILE"
-    )
-    _add_batch_options(submit_p)
-
-    status_p = sub.add_parser("status", help="gateway counters, or one cached result")
-    status_p.add_argument("key", nargs="?", help="job key to look up (default: /stats)")
-    status_p.add_argument("--host", default="127.0.0.1")
-    status_p.add_argument("--port", type=int, default=None)
-
-    warm_p = sub.add_parser("warm", help="populate the cache offline (no server needed)")
-    warm_p.add_argument("--cache", required=True, metavar="DIR")
-    warm_p.add_argument("--jobs", type=int, default=1, metavar="N", help="worker processes")
-    _add_batch_options(warm_p)
-
-    args = parser.parse_args(argv)
-    from .service import DEFAULT_PORT, DEFAULT_QUOTA_JOBS
-
-    port = args.port if getattr(args, "port", None) is not None else DEFAULT_PORT
-
-    if args.command == "serve":
-        import asyncio
-
-        from .service import Gateway, ResultCache
-
-        cache = ResultCache(args.cache)
-        gateway = Gateway(
-            cache=cache,
-            host=args.host,
-            port=port,
-            farm_jobs=args.jobs,
-            quota_jobs=args.quota if args.quota is not None else DEFAULT_QUOTA_JOBS,
-            shard_hosts=args.shard,
-        )
-
-        async def _serve() -> None:
-            await gateway.start()
-            backend = (
-                f"shards {', '.join(gateway.shard_hosts)}"
-                if gateway.shard_hosts
-                else f"{gateway.farm_jobs} local worker(s)"
-            )
-            print(
-                f"mips-serve: listening on http://{gateway.host}:{gateway.port} "
-                f"(cache {args.cache}: {len(cache)} entries, "
-                f"quota {gateway.quota_jobs} jobs/tenant, {backend})",
-                flush=True,
-            )
-            await gateway.serve_forever()
-
-        try:
-            asyncio.run(_serve())
-        except KeyboardInterrupt:
-            pass
-        return 0
-
-    from .service import ServiceClient, ServiceError
-
-    if args.command == "status":
-        client = ServiceClient(args.host, port)
-        try:
-            payload = client.result(args.key) if args.key else client.stats()
-        except ServiceError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        except OSError as exc:
-            print(f"error: cannot reach gateway at {args.host}:{port}: {exc}", file=sys.stderr)
-            return 2
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-
-    if args.command == "warm":
-        from .farm import Scheduler, aggregate
-        from .service import ResultCache
-
-        cache = ResultCache(args.cache)
-        report = Scheduler(jobs=args.jobs, cache=cache).run_report(_batch_jobs(args, parser))
-        summary = aggregate(report.records)
-        print(
-            f"warm: {report.submitted} jobs, {report.cache_hits} already cached, "
-            f"{report.cache_misses} executed, digest {summary['digest']}"
-        )
-        return 0 if summary["by_status"].get("ok", 0) == summary["jobs"] else 1
-
-    # submit
-    from .farm import aggregate
-
-    jobs = _batch_jobs(args, parser)
-    client = ServiceClient(args.host, port, tenant=args.tenant)
-    try:
-        result = client.submit([job.to_dict() for job in jobs])
-    except ServiceError as exc:
-        if exc.status == 429:
-            print(
-                f"error: {exc} (retry after {exc.retry_after or 1}s)", file=sys.stderr
-            )
-        else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: cannot reach gateway at {args.host}:{port}: {exc}", file=sys.stderr)
-        return 2
-    out = open(args.results, "w") if args.results else None
-    try:
-        for line in result.lines:
-            print(line)
-            if out is not None:
-                out.write(line + "\n")
-    finally:
-        if out is not None:
-            out.close()
-    summary = aggregate(result.records)
-    ok = summary["by_status"].get("ok", 0)
-    print(
-        f"service: jobs={len(result.records)} hits={result.cache_hits} "
-        f"misses={result.cache_misses} coalesced={result.coalesced} "
-        f"digest={summary['digest']}",
-        file=sys.stderr,
-    )
-    return 0 if ok == summary["jobs"] else 1
 
 
 def prof_main(argv=None) -> int:
@@ -1043,13 +736,6 @@ def fuzz_main(argv=None) -> int:
     run_p.add_argument("--max-steps", type=int, default=2_000_000)
     run_p.add_argument("--jobs", type=int, default=1, metavar="N", help="worker processes")
     run_p.add_argument(
-        "--hosts",
-        type=int,
-        default=None,
-        metavar="N",
-        help="distributed mode: spawn N localhost shard hosts",
-    )
-    run_p.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS", help="per-job wall budget"
     )
     run_p.add_argument(
@@ -1059,13 +745,7 @@ def fuzz_main(argv=None) -> int:
         "--stable-results",
         metavar="FILE",
         help="write stable-view JSONL in submission order (deterministic "
-        "bytes at any --jobs/--hosts)",
-    )
-    run_p.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="persistent result cache for fuzz batches (content-addressed "
-        "by seed/start/count/mode)",
+        "bytes at any --jobs)",
     )
     run_p.add_argument(
         "--artifacts",
@@ -1106,25 +786,11 @@ def fuzz_main(argv=None) -> int:
     kwargs = {}
     if args.timeout is not None:
         kwargs["timeout_s"] = args.timeout
-    if args.cache:
-        from .service.cache import ResultCache
-
-        kwargs["cache"] = ResultCache(args.cache)
 
     store = ResultStore(args.results) if args.results else None
-    pool = None
     try:
-        if args.hosts:
-            from .farm.dist import DistScheduler, LocalShardPool
-
-            pool = LocalShardPool(args.hosts)
-            scheduler = DistScheduler(hosts=pool.specs, store=store, **kwargs)
-        else:
-            scheduler = Scheduler(jobs=args.jobs, store=store, **kwargs)
-        report = scheduler.run_report(job_list)
+        report = Scheduler(jobs=args.jobs, store=store, **kwargs).run_report(job_list)
     finally:
-        if pool is not None:
-            pool.close()
         if store is not None:
             store.close()
     if args.stable_results:
@@ -1147,14 +813,11 @@ def fuzz_main(argv=None) -> int:
     digest = hashlib.sha256(
         "".join(r.get("fingerprint") or "" for r in report.records).encode()
     ).hexdigest()[:16]
-    mode_note = f"{len(report.hosts)} host(s)" if report.hosts else f"{args.jobs} job(s)"
     print(
         f"fuzz: {checked}/{args.cases} cases checked over {len(job_list)} "
-        f"batch(es) via {mode_note}, seed {args.seed}, mode {args.fuzz_mode}, "
+        f"batch(es) via {args.jobs} job(s), seed {args.seed}, mode {args.fuzz_mode}, "
         f"digest {digest}"
     )
-    if args.cache:
-        print(f"cache: {report.cache_hits} hits / {report.cache_misses} misses")
     if checked < args.cases:
         print("fuzz: some batches did not complete", file=sys.stderr)
         return 2

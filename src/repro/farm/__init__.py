@@ -16,19 +16,12 @@ Pieces:
 - :class:`~repro.farm.store.ResultStore` -- streams JSON-lines result
   records and aggregates them deterministically regardless of
   completion order.
-- :mod:`~repro.farm.dist` -- the multi-host generalization: shard
-  hosts over JSONL sockets, coordinator-mediated work stealing, and
-  heartbeat-driven dead-host reclamation
-  (:class:`~repro.farm.dist.DistScheduler`), with the same aggregate
-  digest at any host count.
 
-Entry points: ``mips-farm run`` / ``mips-farm status`` /
-``mips-farm host`` on the command line, ``mips-experiments --jobs N``
-for the paper's evaluation, and ``tools/bench_report.py --jobs N`` for
-the benchmark gate.
+Entry points: ``mips-farm run`` / ``mips-farm status`` on the command
+line, ``mips-experiments --jobs N`` for the paper's evaluation, and
+``tools/bench_report.py --jobs N`` for the benchmark gate.
 """
 
-from .dist import DistScheduler, HeartbeatMonitor, LocalShardPool, ShardHost
 from .job import (
     Job,
     experiment_jobs,
@@ -47,15 +40,11 @@ from .worker import JobResult, execute_job
 __all__ = [
     "DEFAULT_MAX_ATTEMPTS",
     "DEFAULT_TIMEOUT_S",
-    "DistScheduler",
     "FarmReport",
-    "HeartbeatMonitor",
     "Job",
     "JobResult",
-    "LocalShardPool",
     "ResultStore",
     "Scheduler",
-    "ShardHost",
     "aggregate",
     "execute_job",
     "experiment_jobs",

@@ -6,7 +6,8 @@ throughput run -- together with everything needed to execute it
 reproducibly: hazard mode, optimization level, step budget, input
 queue.  Jobs are pure data (no live objects), so they cross process
 boundaries cheaply and two structurally-equal jobs hash to the same
-**stable key**, which is what result caching and deduplication key on.
+**stable key**, which is what deduplication and the aggregate digest
+key on.
 
 The farm never mutates a job; per-attempt state (attempt counter,
 backoff deadline) lives in the scheduler.
@@ -134,8 +135,8 @@ def _engine_spec(engine: str) -> Dict[str, Any]:
     """Spec fragment selecting the simulation engine.
 
     The default engine ("fast") is omitted from the spec so every job
-    key minted before engines existed stays stable -- cached results
-    keep matching.
+    key minted before engines existed stays stable -- keys are part of
+    the stable view, so changing them would move every digest.
     """
     return {} if engine == "fast" else {"engine": engine}
 
@@ -180,7 +181,7 @@ def profile_jobs(
 
     The profile flag lives in the spec, so profile jobs are
     content-addressed separately from plain simulations of the same
-    workload and the exported profiles shard/cache like any result.
+    workload and the exported profiles shard like any result.
     """
     return tuple(
         Job(
@@ -216,8 +217,7 @@ def fuzz_jobs(
 
     Which cases a batch covers is a pure function of its spec (seed,
     start, count, mode), never of the parallelism that executes it, so
-    the result set is byte-identical at any ``--jobs``/``--hosts``
-    split and a cached batch stays valid forever.
+    the result set is byte-identical at any ``--jobs`` split.
     """
     from ..fuzz.batch import batch_ranges
 

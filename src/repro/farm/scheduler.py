@@ -17,6 +17,9 @@ Design (one supervisor, N persistent workers):
 - A worker that **crashes** (non-zero exit, killed, pipe EOF) loses
   only its in-flight job: the supervisor records the crash, respawns
   the worker, and retries the job with capped exponential backoff.
+  An idle worker found dead when handed its next job is a crash too,
+  but that job never reached it, so it is re-queued without spending
+  an attempt.
 - When the pool is unavailable -- ``--jobs 1``, a sandbox that forbids
   forking, or ``REPRO_FARM_SERIAL=1`` -- the scheduler **degrades to
   in-process serial execution** over the identical
@@ -36,7 +39,7 @@ import os
 import sys
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from .job import Job
@@ -124,20 +127,6 @@ class FarmReport:
     timeouts: int = 0
     degraded_serial: bool = False
     wall_s: float = 0.0
-    #: jobs served from the persistent result cache without dispatch
-    cache_hits: int = 0
-    #: jobs that missed the cache and were actually executed
-    cache_misses: int = 0
-    #: distributed runs only: jobs moved off a loaded shard host onto
-    #: an idle one by the coordinator
-    stolen: int = 0
-    #: distributed runs only: in-flight jobs recovered from a dead host
-    #: and re-queued through the retry machinery
-    reclaimed: int = 0
-    #: distributed runs only: per-shard-host accounting, keyed by
-    #: host_id -- {"workers", "alive", "jobs", "stolen", "reclaimed",
-    #: "retries"}
-    hosts: Dict[str, Dict[str, Any]] = field(default_factory=dict)
 
     @property
     def ok(self) -> int:
@@ -156,7 +145,6 @@ class Scheduler:
         backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
         store=None,
         serial: Optional[bool] = None,
-        cache=None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
@@ -166,9 +154,6 @@ class Scheduler:
         self.backoff_base_s = backoff_base_s
         self.backoff_cap_s = backoff_cap_s
         self.store = store
-        #: optional repro.service.cache.ResultCache; hits skip dispatch
-        #: entirely and completed deterministic jobs are written back
-        self.cache = cache
         if serial is None:
             serial = jobs <= 1 or bool(os.environ.get(_ENV_FORCE_SERIAL))
         self.serial = serial
@@ -188,49 +173,29 @@ class Scheduler:
             report.wall_s = time.monotonic() - started
             return report
         results: Dict[int, Dict[str, Any]] = {}
-        items = self._drain_cache(list(enumerate(jobs)), results, report)
-        if items and self.serial:
+        items = list(enumerate(jobs))
+        if self.serial:
             report.degraded_serial = True
             self._run_serial(items, results, report)
-        elif items:
+        else:
             try:
                 self._run_pool(items, results, report)
             except OSError as exc:
-                # the environment refused to give us processes: degrade
+                # the environment refused to give us processes: degrade,
+                # running only the jobs the pool did not finish
                 print(
                     f"repro.farm: worker pool unavailable ({exc}); "
                     "falling back to in-process serial execution",
                     file=sys.stderr,
                 )
                 report.degraded_serial = True
-                self._run_serial(items, results, report)
+                unfinished = [(i, job) for i, job in items if i not in results]
+                self._run_serial(unfinished, results, report)
         report.records = [results[i] for i in range(len(jobs))]
         report.wall_s = time.monotonic() - started
         return report
 
     # -- shared plumbing ---------------------------------------------------
-
-    def _drain_cache(
-        self,
-        items: List[Tuple[int, Job]],
-        results: Dict[int, Dict[str, Any]],
-        report: FarmReport,
-    ) -> List[Tuple[int, Job]]:
-        """Serve cache hits immediately; return the jobs still to run."""
-        if self.cache is None:
-            return items
-        missed: List[Tuple[int, Job]] = []
-        for index, job in items:
-            record = self.cache.fetch(job, index=index)
-            if record is None:
-                missed.append((index, job))
-                continue
-            report.cache_hits += 1
-            results[index] = record
-            if self.store is not None:
-                self.store.append(record)
-        report.cache_misses = len(missed)
-        return missed
 
     def _budget(self, job: Job) -> float:
         return job.timeout_s if job.timeout_s is not None else self.timeout_s
@@ -249,8 +214,6 @@ class Scheduler:
         results[pending.index] = record
         if self.store is not None:
             self.store.append(record)
-        if self.cache is not None:
-            self.cache.put(record)
 
     # -- serial fallback ---------------------------------------------------
 
@@ -292,7 +255,7 @@ class Scheduler:
 
         self._ctx = _pick_context()
         pending: deque = deque(_Pending(i, job) for i, job in items)
-        target = len(results) + len(items)
+        target = len(items)
         idle: List[_WorkerHandle] = []
         busy: List[_WorkerHandle] = []
 
@@ -319,12 +282,23 @@ class Scheduler:
                 # hand ready work to idle workers, spawning up to N
                 ready = [p for p in pending if p.ready_at <= now]
                 while ready and (idle or len(idle) + len(busy) < self.jobs):
-                    worker = idle.pop() if idle else self._spawn_worker()
-                    item = ready.pop(0)
+                    reused = bool(idle)
+                    worker = idle.pop() if reused else self._spawn_worker()
+                    item = ready[0]
+                    try:
+                        worker.conn.send(("job", item.index, item.attempt, item.job.to_dict()))
+                    except OSError:
+                        worker.kill()
+                        if not reused:
+                            raise  # a freshly forked worker cannot take work
+                        # the idle worker died since its last job (e.g.
+                        # OOM-killed); the job stays queued, attempt unspent
+                        report.crashes += 1
+                        continue
+                    ready.pop(0)
                     pending.remove(item)
                     worker.current = item
                     worker.deadline = now + self._budget(item.job)
-                    worker.conn.send(("job", item.index, item.attempt, item.job.to_dict()))
                     busy.append(worker)
 
                 if not busy:

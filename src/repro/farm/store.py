@@ -22,10 +22,7 @@ from typing import IO, Any, Dict, Iterable, List, Mapping, Optional
 from .worker import json_safe_record
 
 #: record fields that vary run-to-run and are excluded from the digest
-#: ("cached" marks a record served from the persistent result cache,
-#: "host" names the shard host a distributed run executed on -- where
-#: a record came from must not change what it digests to)
-VOLATILE_FIELDS = ("wall_s", "attempt", "attempts", "index", "cached", "host")
+VOLATILE_FIELDS = ("wall_s", "attempt", "attempts", "index")
 
 
 class ResultStore:
@@ -126,12 +123,9 @@ def aggregate(records: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
     seen_keys: Dict[str, int] = {}
     duplicates: List[str] = []
     failures: List[Dict[str, Any]] = []
-    by_host: Dict[str, int] = {}
     for record in ordered:
         status = record.get("status", "error")
         by_status[status] = by_status.get(status, 0) + 1
-        if record.get("host"):
-            by_host[record["host"]] = by_host.get(record["host"], 0) + 1
         total_cycles += record.get("cycles") or 0
         total_words += record.get("words") or 0
         total_attempts += record.get("attempts") or record.get("attempt") or 1
@@ -151,7 +145,7 @@ def aggregate(records: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
     digest_payload = json.dumps(
         [stable_view(r) for r in ordered], sort_keys=True, separators=(",", ":")
     )
-    summary = {
+    return {
         "jobs": len(ordered),
         "by_status": dict(sorted(by_status.items())),
         "total_cycles": total_cycles,
@@ -162,11 +156,6 @@ def aggregate(records: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
         "failures": failures,
         "digest": hashlib.sha256(digest_payload.encode()).hexdigest(),
     }
-    # only distributed runs tag records with a host; keep single-box
-    # summaries (and anything diffing them) unchanged
-    if by_host:
-        summary["by_host"] = dict(sorted(by_host.items()))
-    return summary
 
 
 def render_summary(summary: Mapping[str, Any]) -> str:
@@ -181,8 +170,6 @@ def render_summary(summary: Mapping[str, Any]) -> str:
         f"wall time:   {summary['total_wall_s']:.2f}s (sum over jobs)",
         f"digest:      {summary['digest']}",
     ]
-    for host, count in summary.get("by_host", {}).items():
-        lines.append(f"  host {host}: {count} job(s)")
     if summary["duplicates"]:
         lines.append(f"DUPLICATED JOB KEYS: {', '.join(summary['duplicates'])}")
     for failure in summary["failures"]:

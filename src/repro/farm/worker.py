@@ -363,7 +363,7 @@ def _execute_fuzz(record: Dict[str, Any], job: Mapping[str, Any]) -> None:
 
     The record's fingerprint is the batch digest -- a pure function of
     (seed, start, count, mode) -- so identical batches executed under
-    any sharding produce identical records and cache cleanly.  A batch
+    any sharding produce identical records.  A batch
     containing divergences becomes a non-retryable error record whose
     message carries the first case's one-line replay command.
     """

@@ -15,8 +15,7 @@ schedule with the recovery-contract checker armed.
 Failures shrink (:mod:`repro.fuzz.minimize`) and land as standalone
 repro artifacts (:mod:`repro.fuzz.artifacts`).  Batches are
 content-addressed farm jobs (:mod:`repro.fuzz.batch`), so campaigns
-scale over ``--jobs``, ``--hosts``, and the persistent result cache
-with byte-identical records at any parallelism.
+scale over ``--jobs`` with byte-identical records at any parallelism.
 """
 
 from .batch import DEFAULT_BATCH, batch_ranges, run_batch

@@ -3,8 +3,8 @@
 A batch is ``(seed, start, count, mode)`` -- which cases it covers is a
 pure function of the spec, never of how the run was sharded.  Each case
 contributes a digest over everything its oracle observed, and the batch
-digest folds them in index order, so ``--jobs 1`` and ``--jobs 8`` (or
-a multi-host run) produce byte-identical batch records.  Divergent
+digest folds them in index order, so ``--jobs 1`` and ``--jobs 8``
+produce byte-identical batch records.  Divergent
 cases ride along in the batch summary with their one-line replay
 command; the batch status only degrades when a real divergence (or a
 harness error) appears.

@@ -46,44 +46,20 @@ GATED_COUNTERS = (
 BASELINE_VERSION = 1
 
 
-def _gate_scheduler(jobs: int, store, cache, hosts):
-    """The farm backend a gate collection runs on: local pool or shards.
-
-    Distributed runs are admissible for the same reason ``jobs`` is:
-    the gated counters are exact per job key, so *where* a workload
-    simulated cannot change what it counted -- the aggregate-digest
-    oracle CI enforces is precisely this property.
-    """
-    from ..farm.scheduler import Scheduler
-
-    if hosts:
-        from ..farm.dist import DistScheduler
-
-        return DistScheduler(hosts=list(hosts), store=store, cache=cache)
-    return Scheduler(jobs=jobs, store=store, cache=cache)
-
-
 def collect_cycles(
     names: Sequence[str] = GATE_PROGRAMS,
     jobs: int = 1,
     store=None,
-    cache=None,
-    hosts: Optional[Sequence[str]] = None,
 ) -> Dict[str, Dict[str, int]]:
     """Per-workload gated counters, collected through the farm.
 
     Sharding (``jobs``) only changes wall time; the counters in every
     record are deterministic, so the result is identical at any width.
-    ``cache`` (a :class:`repro.service.cache.ResultCache`) serves
-    previously-collected workloads without re-simulating -- safe for the
-    same reason the gate is blocking: the counters cannot drift between
-    identical jobs.  ``hosts`` (shard-host specs) runs the collection on
-    the distributed farm instead of the local pool, with identical
-    output.
     """
     from ..farm.job import workload_jobs
+    from ..farm.scheduler import Scheduler
 
-    records = _gate_scheduler(jobs, store, cache, hosts).run(workload_jobs(list(names)))
+    records = Scheduler(jobs=jobs, store=store).run(workload_jobs(list(names)))
     out: Dict[str, Dict[str, int]] = {}
     for record in records:
         if record["status"] != "ok":

@@ -122,6 +122,20 @@ class TestFarmCli:
         with pytest.raises(SystemExit):
             farm_main(["run", "--workload", "nonsense"])
 
+    def test_stable_results_match_digest(self, tmp_path):
+        from repro.farm import Scheduler, workload_jobs
+        from repro.farm.store import stable_view
+
+        path = tmp_path / "stable.jsonl"
+        assert farm_main(
+            ["run", "--workload", "scanner", "--stable-results", str(path)]
+        ) == 0
+        (line,) = [l for l in path.read_text().splitlines() if l]
+        view = json.loads(line)
+        assert "wall_s" not in view
+        (direct,) = Scheduler(jobs=1).run(workload_jobs(["scanner"]))
+        assert view == stable_view(direct)
+
 
 def _load_tool(name):
     repo_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

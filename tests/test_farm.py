@@ -5,7 +5,8 @@ The invariants under test are the subsystem's contract:
 - serial and sharded execution produce identical records (minus
   wall-clock noise), so ``--jobs N`` never changes results;
 - injected worker crashes and timeouts are retried and recorded
-  without losing or duplicating any job's result;
+  without losing or duplicating any job's result, including workers
+  that die while idle;
 - guest failures (page faults, step-budget exhaustion) become
   structured failure records and do not poison the worker;
 - the JSON-lines store aggregates deterministically regardless of
@@ -13,10 +14,14 @@ The invariants under test are the subsystem's contract:
 """
 
 import json
+import multiprocessing
+import multiprocessing.connection
 import random
+import time
 
 import pytest
 
+from repro.farm import scheduler as scheduler_module
 from repro.farm import (
     Job,
     ResultStore,
@@ -27,6 +32,7 @@ from repro.farm import (
     workload_jobs,
 )
 from repro.farm.store import stable_view
+from repro.farm.worker import execute_job
 from repro.workloads import EXPECTED_OUTPUT
 
 #: cheap corpus members (tens of thousands of cycles, not millions)
@@ -46,6 +52,12 @@ start:  lim 524288, r1      ; 2^19
 #: a program that never halts (the --max-steps guard must catch it)
 RUNAWAY_ASM = """
 start:  jmp start
+        nop
+"""
+
+#: a guest program that halts after one instruction
+HALT_ASM = """
+start:  trap #0
         nop
 """
 
@@ -166,6 +178,43 @@ class TestShardedExecution:
         summary = aggregate(report.records)
         assert summary["jobs"] == len(jobs)
         assert summary["duplicates"] == []
+
+    def test_worker_dying_while_idle_duplicates_nothing(self, monkeypatch):
+        # every worker serves one job and exits, and the supervisor only
+        # reads a result once its sender is gone, so each handover to an
+        # idle worker hits a dead pipe: that is a worker death, not an
+        # unusable pool, and must not re-run finished jobs serially
+        def one_job_worker(conn):
+            _tag, index, attempt, job = conn.recv()
+            conn.send((index, attempt, execute_job(job, attempt=attempt, in_process=False)))
+
+        real_wait = multiprocessing.connection.wait
+
+        def wait_for_senders_to_exit(conns, timeout=None):
+            readable = real_wait(conns, timeout)
+            still_working = len(conns) - len(readable)
+            deadline = time.monotonic() + 5.0
+            while (
+                len(multiprocessing.active_children()) > still_working
+                and time.monotonic() < deadline
+            ):
+                time.sleep(0.01)
+            return readable
+
+        monkeypatch.setattr(scheduler_module, "_worker_main", one_job_worker)
+        monkeypatch.setattr(multiprocessing.connection, "wait", wait_for_senders_to_exit)
+        jobs = [
+            Job(kind="asm", name=f"halt{i}", spec={"source": HALT_ASM, "n": i})
+            for i in range(4)
+        ]
+        store = ResultStore()
+        report = fast_scheduler(jobs=2, serial=False, store=store).run_report(jobs)
+        assert sorted(r["job_key"] for r in store.records) == sorted(j.key for j in jobs)
+        assert aggregate(store.records)["duplicates"] == []
+        assert not report.degraded_serial
+        assert report.crashes == 2
+        assert [r["status"] for r in report.records] == ["ok"] * 4
+        assert [r["attempts"] for r in report.records] == [1] * 4
 
     def test_crash_exhausting_attempts_is_recorded_not_raised(self):
         chaos = Job(

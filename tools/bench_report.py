@@ -35,13 +35,7 @@ Benchmark execution goes through :mod:`repro.farm`: each benchmark is
 one job with a wall-clock budget and transient-failure retries, and
 ``--jobs N`` shards them over worker processes (keep the default of 1
 for timing fidelity on small machines -- concurrent benchmarks steal
-each other's cycles).  The deterministic ``cycles`` gate additionally
-accepts ``--cache DIR``: counters are exact per content-addressed job
-key, so a repeat gate run against a warm cache (e.g. one populated by
-``mips-serve``) re-simulates nothing.  It also accepts ``--host SPEC``
-(repeatable): the collection then runs on the distributed farm's shard
-hosts, and because the counters are exact per job key the gate verdict
-is identical wherever the workloads simulated.
+each other's cycles).
 
 Usage::
 
@@ -215,29 +209,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
     return 0
 
 
-def _gate_cache(args):
-    """The persistent result cache for the deterministic gate, if asked.
-
-    Counters are exact per job key, so a warm cache
-    serves a repeated gate run without re-simulating a single workload
-    -- CI and local pre-commit loops share the directory.
-    """
-    if not getattr(args, "cache", None):
-        return None
-    from repro.service.cache import ResultCache
-
-    return ResultCache(args.cache)
-
-
 PERF_BASELINE = os.path.join(REPO_ROOT, "PERF_BASELINE.json")
 
 
 def cmd_cycles(args: argparse.Namespace) -> int:
     from repro.perf import baseline as perf_baseline
 
-    current = perf_baseline.collect_cycles(
-        jobs=args.jobs, cache=_gate_cache(args), hosts=args.host
-    )
+    current = perf_baseline.collect_cycles(jobs=args.jobs)
     for name, counters in current.items():
         print(f"  {name}: {counters['cycles']} cycles, {counters['load_stalls']} stalls")
     gate_path = args.gate or PERF_BASELINE
@@ -307,20 +285,6 @@ def main(argv=None) -> int:
         type=int,
         default=1,
         help="farm workers (counters are deterministic; parallelism is free here)",
-    )
-    cyc_p.add_argument(
-        "--cache",
-        metavar="DIR",
-        help="persistent result cache: repeat gate runs are served without "
-        "re-simulating (counters are content-addressed by job key)",
-    )
-    cyc_p.add_argument(
-        "--host",
-        action="append",
-        default=[],
-        metavar="SPEC",
-        help="collect on the distributed farm shard host at HOST:PORT "
-        "(repeatable; counters and gate verdict are identical either way)",
     )
     cyc_p.set_defaults(func=cmd_cycles)
 

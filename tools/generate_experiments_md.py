@@ -99,29 +99,6 @@ run-invariant fields — so this file and every table in it are
 byte-identical at any `--jobs` value.  CI's farm smoke job asserts
 exactly that (`--jobs 2` versus `--jobs 1`).
 
-**Distributed farm.** The same jobs shard across machines:
-`mips-farm host` wraps the identical worker pool in a TCP shell, and
-the distributed coordinator (`mips-farm run --hosts N` / `--host
-HOST:PORT`) deals jobs round-robin, lets idle hosts steal unstarted
-work, and reclaims the jobs of dead hosts through the ordinary retry
-machinery — degrading to in-process serial execution if every host is
-lost.  The per-record `host` tag is a volatile field outside the
-stable view, so every digest in this file is byte-identical at any
-host count, including runs where a host is killed mid-batch.  CI's
-dist smoke job asserts exactly that (`--hosts 1` versus `--hosts 2`
-versus `--hosts 4`, plus a SIGKILL-mid-batch rerun).
-
-**Service cache.** The farm fronts a persistent content-addressed
-result cache (`repro.service`): records are keyed on the job's stable
-content key, integrity-digested on disk, and served back as the same
-*stable view* the aggregate digest covers — so a cache hit is
-byte-identical to a fresh execution and every digest in this file is
-unchanged whether the jobs ran cold, warm, or through the
-`mips-serve` gateway.  Only deterministic outcomes are cached;
-wall-clock benchmark records always re-run.  CI's service smoke job
-submits the corpus twice through a live gateway and asserts the
-second pass is all hits with the same response bytes.
-
 **Chaos verification.** The recovery machinery the systems sections
 rely on (surprise-register save/restore, forced supervisor entry,
 three saved return addresses, double-fault panic) is exercised by
