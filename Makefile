@@ -13,7 +13,7 @@ lint:
 	ruff check .
 
 test:
-	$(PYTHON) -m pytest -x -q
+	$(PYTHON) -m pytest -x -q --durations=15
 
 ## perf-gate: the blocking deterministic gates -- cycle counts and the
 ## paper claims

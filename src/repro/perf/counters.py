@@ -202,11 +202,19 @@ def collect(
     the run and come back empty otherwise.  Words are resolved through
     the CPU's decode cache, which holds the current word at every
     executed address (self-modified addresses report their final form).
+
+    Behind a page map those groups come back empty too: user processes
+    run at virtual PCs that collide with each other's and with the
+    kernel's physical PCs in the one decode cache, so a PC names no
+    single word, and which word the cache last held depends on the
+    engine.
     """
     profiler = profiler if profiler is not None else cpu.profiler
     stats = cpu.stats
 
-    counts: Dict[int, int] = dict(profiler.counts) if profiler is not None else {}
+    counts: Dict[int, int] = {}
+    if profiler is not None and getattr(cpu.memory, "pagemap", None) is None:
+        counts = dict(profiler.counts)
     profiles: Dict[int, WordProfile] = {}
     for pc in counts:
         cached = cpu._decode_cache.get(pc)

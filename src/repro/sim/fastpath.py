@@ -40,14 +40,32 @@ to :meth:`Cpu.step`):
   canonical fields around every burst, so reference steps interleave
   transparently.
 - **Self-modifying code** is caught by invalidation: fast stores check
-  the written address against the set of compiled addresses, and all
-  reference-path writes (including device DMA and loader pokes) report
-  through :attr:`PhysicalMemory.watch_hook`.
+  the written physical address against the map of addresses handlers
+  were compiled from, and all reference-path writes (including device
+  DMA and loader pokes) report through :attr:`PhysicalMemory.watch_hook`.
 
-Supported execution contexts: mapping disabled, over a bare
-:class:`~repro.sim.memory.PhysicalMemory` or the physical side of a
-``MappedMemory`` (device-window references bail).  Mapped (user-space)
-execution falls back to the reference stepper word by word.
+Execution contexts:
+
+- **Unmapped** (mapping off), over a bare
+  :class:`~repro.sim.memory.PhysicalMemory` or the physical side of a
+  ``MappedMemory``: handlers are keyed by physical address, and
+  device-window references bail.
+- **Mapped** (user mode under the kernel), over a ``MappedMemory``:
+  handlers are keyed by virtual PC, so per-PC profiles keep virtual PCs.
+  The fetch is translated once, at compile time; each data reference is
+  translated by its handler -- the on-chip two-region segment check with
+  the context's constants, then a lookup in the live page map -- and
+  bails on a hole, a map miss or a bus error, so the reference stepper
+  raises the precise fault.  Mapped references never reach the device
+  window.  Translation counts flush as counts x deltas; a handler sets
+  its data page's referenced (and, storing, dirty) bit at commit, and
+  the flush sets the fetch pages' referenced bits.  Both readers of
+  those bits (``PM_VICTIM`` and host-side page drops) run between
+  bursts, and no burst spans a mode switch.  A map or unmap bumps
+  :attr:`PageMap.generation`; a context entering a burst after that
+  drops its words on pages whose frame changed or vanished.
+
+Mapping on over a memory without a page map steps precisely.
 """
 
 from __future__ import annotations
@@ -86,7 +104,10 @@ class _Bail(Exception):
     """Raised by a handler, pre-mutation, to punt to the reference stepper."""
 
 
-#: pre-built instance: raising it skips exception construction
+#: pre-built instance: raising it skips exception construction.  Every
+#: raise chains the raising frames onto its ``__traceback__``, so the
+#: burst clears it on catch -- otherwise it would keep every CPU that
+#: ever bailed alive
 _BAIL = _Bail("fast path bail")
 
 #: cache marker for words that must always run on the reference stepper
@@ -152,7 +173,7 @@ class EngineStats:
     templates: int = 0       # handler templates compiled (one exec() each)
     fallbacks: int = 0       # words screened out at compile time
     bails: int = 0           # handlers that punted pre-mutation at run time
-    invalidations: int = 0   # compiled words dropped (SMC, DMA, loader pokes)
+    invalidations: int = 0   # code addresses written over (SMC, DMA, loader pokes)
     bursts: int = 0          # batched inner-loop entries
     # dispatch accounting (deterministic per workload: burst boundaries
     # are serial and exact, so word_dispatches + ref_steps == words)
@@ -167,21 +188,59 @@ class EngineStats:
 
 
 class _Context:
-    """Handler and stats-delta caches for one execution context.
+    """Handler and stats-delta caches for one unmapped execution context.
 
-    The context key is the surprise register's privilege and
-    overflow-enable bits; mapping-enabled contexts are never compiled.
-    Handler caches are keyed by word address.
+    The context is keyed by ``flags``, the surprise register's privilege
+    and overflow-enable bits.  Handler caches are keyed by word address.
     """
 
-    __slots__ = ("key", "handlers", "deltas")
+    __slots__ = ("flags", "handlers", "deltas")
+    mapped = False
 
-    def __init__(self, key: int):
-        self.key = key
+    def __init__(self, flags: int):
+        self.flags = flags
         self.handlers: Dict[int, object] = {}
         #: address -> (pieces, noops, loads, stores, branches,
-        #:             taken_static, mem_used, note)
+        #:             taken_static, mem_used, note[, fetch page])
         self.deltas: Dict[int, tuple] = {}
+
+
+class _MappedContext(_Context):
+    """A mapped context: one segment, keyed by the privilege and
+    overflow-enable bits plus ``seg_pid`` and ``seg_mask``.
+
+    Handlers are keyed by virtual PC.  ``half``, ``top``, ``low_base``
+    and ``high_bias`` are :meth:`Cpu.translate` with this segment's
+    numbers folded in.  ``pages`` maps each system page compiled from to
+    the frame it was in then and the PCs compiled from it, so a map
+    change drops exactly those words.  A handler depends on the context,
+    the virtual PC and the word's bits, never on the frame: ``memo``
+    keeps every ``(pc, bits) -> (handler, delta)``, and a page paged back
+    in re-adopts its handlers instead of recompiling them.
+    """
+
+    __slots__ = ("half", "top", "low_base", "high_bias", "pages", "memo", "generation")
+    mapped = True
+
+    def __init__(self, flags: int, seg_pid: int, seg_mask: int):
+        super().__init__(flags)
+        space = 1 << (24 - seg_mask)
+        self.half = space // 2
+        self.top = (1 << 32) - self.half
+        self.low_base = seg_pid * space
+        self.high_bias = (1 << 32) - space - self.low_base
+        self.pages: Dict[int, tuple] = {}
+        self.memo: Dict[tuple, tuple] = {}
+        #: the page-map generation ``pages`` was last checked against
+        self.generation = -1
+
+    def sysva(self, addr: int) -> Optional[int]:
+        """The system virtual address of u32 ``addr``; None in the hole."""
+        if addr < self.half:
+            return addr + self.low_base
+        if addr >= self.top:
+            return addr - self.high_bias
+        return None
 
 
 class _WordIR:
@@ -214,9 +273,15 @@ class FastPathEngine:
             physical = mem
         self._phys = physical
         self._devices = getattr(mem, "devices", None)
+        self._pagemap = getattr(mem, "pagemap", None)
+        if self._pagemap is not None:
+            from ..system.mapping import PAGE_SHIFT  # local: the system layer imports sim
+
+            self._page_shift = PAGE_SHIFT
         self._supported = physical is not None and hasattr(physical, "_words")
-        self._contexts: Dict[int, _Context] = {}
-        self._compiled_pcs = set()
+        self._contexts: Dict[object, _Context] = {}
+        #: physical address -> the (context, pc) handlers compiled from it
+        self._code: Dict[int, list] = {}
         self._disabled = False
         #: steps completed by the current/last run() call *before* any
         #: exception escaped -- callers use this to account for steps
@@ -251,7 +316,6 @@ class FastPathEngine:
         cpu = self.cpu
         stats = cpu.stats
         surprise = cpu.surprise
-        contexts = self._contexts
         estats = self.stats
         steps = 0
         self.last_run_steps = 0
@@ -263,17 +327,14 @@ class FastPathEngine:
             if cycle_limit is not None and stats.cycles >= cycle_limit:
                 break
             sv = surprise.value
+            ctx = None
             if (
                 supported
-                and not sv & 8  # mapping off: translation is reference territory
                 and not cpu._forced_stream
                 and not (cpu.interrupt_line and sv & 2)
             ):
-                key = sv & 5  # privilege | overflow-enable
-                ctx = contexts.get(key)
-                if ctx is None:
-                    ctx = _Context(key)
-                    contexts[key] = ctx
+                ctx = self._context(sv)
+            if ctx is not None:
                 budget = max_steps - steps
                 if cycle_limit is not None:
                     budget = min(budget, cycle_limit - stats.cycles)
@@ -286,32 +347,36 @@ class FastPathEngine:
                     break
                 if cycle_limit is not None and stats.cycles >= cycle_limit:
                     break
-                # the word the burst would not touch: a fallback or
-                # bailed word -- exactly one precise step
-                estats.ref_steps += 1
-                cpu.step()
-                steps += 1
-            elif supported and sv & 8:
-                # mapped (user-space) execution: reference-step until the
-                # next surprise transition flips mapping off again; the
-                # stepper itself handles interrupts and forced streams
-                while (
-                    steps < max_steps
-                    and (cycle_limit is None or stats.cycles < cycle_limit)
-                    and surprise.value & 8
-                ):
-                    self.last_run_steps = steps
-                    estats.ref_steps += 1
-                    cpu.step()
-                    steps += 1
-            else:
-                # interrupt delivery, a forced return stream, or an
-                # unsupported memory system: one precise step
-                estats.ref_steps += 1
-                cpu.step()
-                steps += 1
+            # exactly one precise step: the word a burst stopped at (a
+            # fallback, a bailed word, a faulting fetch), interrupt
+            # delivery, a forced return stream, or an unsupported memory
+            estats.ref_steps += 1
+            cpu.step()
+            steps += 1
         self.last_run_steps = steps
         return steps
+
+    def _context(self, sv: int) -> Optional[_Context]:
+        """The context for surprise value ``sv``, revalidated against the
+        page map when mapped; None for mapping on without a page map."""
+        contexts = self._contexts
+        if not sv & 8:
+            key = sv & 5  # privilege | overflow-enable
+            ctx = contexts.get(key)
+            if ctx is None:
+                ctx = contexts[key] = _Context(key)
+            return ctx
+        pagemap = self._pagemap
+        if pagemap is None:
+            return None
+        cpu = self.cpu
+        key = (sv & 5, cpu.seg_pid, cpu.seg_mask)
+        ctx = contexts.get(key)
+        if ctx is None:
+            ctx = contexts[key] = _MappedContext(*key)
+        if ctx.generation != pagemap.generation:
+            self._revalidate(ctx)
+        return ctx
 
     # ------------------------------------------------------------------
     # the burst: sync in, run handlers, flush stats, sync out
@@ -360,11 +425,14 @@ class FastPathEngine:
                         # the old word against its old delta first
                         break
                     h = self._compile(ctx, pc)
+                    if h is None:
+                        break  # the fetch faults: the reference step raises it
                 if h is _FALLBACK:
                     break
                 try:
                     npc = h(regs, st)
                 except _Bail:
+                    _BAIL.__traceback__ = None
                     self.stats.bails += 1
                     break
                 counts[pc] = get_count(pc, 0) + 1
@@ -404,6 +472,12 @@ class FastPathEngine:
                 mstats.fetches += words
                 mstats.reads += loads
                 mstats.writes += stores
+                if ctx.mapped:
+                    pagemap = self._pagemap
+                    pagemap.stats.translations += words + loads + stores
+                    referenced = pagemap.referenced
+                    for wpc in counts:
+                        referenced[deltas[wpc][8]] = True
                 profiler = cpu.profiler
                 if profiler is not None:
                     pcounts = profiler.counts
@@ -425,39 +499,80 @@ class FastPathEngine:
         return n
 
     # ------------------------------------------------------------------
-    # invalidation (self-modifying code, DMA, loader pokes)
+    # invalidation (self-modifying code, DMA, loader pokes, map changes)
     # ------------------------------------------------------------------
 
     def _invalidate(self, addr: int) -> None:
-        """Drop the compiled handler(s) at ``addr`` in every context.
+        """Drop every handler compiled from physical address ``addr``.
 
         Stats deltas are intentionally left behind: executions counted
         before the invalidation belong to the old word and must flush
         against its old delta; a recompile overwrites the entry.
         """
         self.stats.invalidations += 1
-        for ctx in self._contexts.values():
-            ctx.handlers.pop(addr, None)
-        self._compiled_pcs.discard(addr)
+        for ctx, pc in self._code.pop(addr):
+            ctx.handlers.pop(pc, None)
 
     def _on_external_write(self, addr: int) -> None:
-        if addr in self._compiled_pcs:
+        if addr in self._code:
             self._invalidate(addr)
+
+    def _revalidate(self, ctx: _MappedContext) -> None:
+        """Drop ``ctx``'s words on pages whose frame changed or vanished."""
+        entries = self._pagemap.entries
+        shift = self._page_shift
+        offset_mask = (1 << shift) - 1
+        code = self._code
+        for page, (frame, pcs) in list(ctx.pages.items()):
+            if entries.get(page) == frame:
+                continue
+            del ctx.pages[page]
+            base = frame << shift
+            for pc in pcs:
+                if ctx.handlers.pop(pc, None) is not None:
+                    phys = base | (pc & offset_mask)
+                    owners = code[phys]
+                    owners.remove((ctx, pc))
+                    if not owners:
+                        del code[phys]
+        ctx.generation = self._pagemap.generation
 
     # ------------------------------------------------------------------
     # compilation
     # ------------------------------------------------------------------
 
     def _compile(self, ctx: _Context, pc: int):
-        """Compile the word at ``pc`` for ``ctx``; cache and return it."""
-        handler = self._try_compile(ctx, pc)
-        if handler is None:
-            handler = _FALLBACK
-            self.stats.fallbacks += 1
+        """The handler of ``pc`` in ``ctx``, cached; None when fetching
+        ``pc`` faults now -- the reference step raises the fault, and
+        nothing is cached.  Mapped contexts re-adopt a memoized handler
+        when the word's bits are unchanged."""
+        if ctx.mapped:
+            sysva = ctx.sysva(pc & _MASK)
+            if sysva is None:
+                return None
+            shift = self._page_shift
+            page = sysva >> shift
+            frame = self._pagemap.entries.get(page)
+            if frame is None:
+                return None
+            phys = (frame << shift) | (sysva & ((1 << shift) - 1))
         else:
-            self.stats.compiles += 1
+            phys = pc
+        if not 0 <= phys < self._phys.size:
+            return None
+        bits = self._phys._words.get(phys, 0)
+        if ctx.mapped:
+            built = ctx.memo.get((pc, bits))
+            if built is None:
+                built = ctx.memo[pc, bits] = self._build(ctx, pc, bits)
+            ctx.pages.setdefault(page, (frame, set()))[1].add(pc)
+        else:
+            built = self._build(ctx, pc, bits)
+        handler, delta = built
         ctx.handlers[pc] = handler
-        self._compiled_pcs.add(pc)
+        if delta is not None:
+            ctx.deltas[pc] = delta
+        self._code.setdefault(phys, []).append((ctx, pc))
         return handler
 
     def _globals(self) -> Dict[str, object]:
@@ -468,29 +583,39 @@ class FastPathEngine:
             "MWG": self._phys._words.get,
             "CPU": self.cpu,
             "OVF": alu_overflows,
-            "FPCS": self._compiled_pcs,
+            "FPCS": self._code,
             "INVAL": self._invalidate,
         }
+        pagemap = self._pagemap
+        if pagemap is not None:
+            env["PMG"] = pagemap.entries.get
+            env["PMR"] = pagemap.referenced
+            env["PMD"] = pagemap.dirty
         for op in _OVF_OPS:
             env[f"OP_{op.name}"] = op
         return env
 
-    def _word_template(self, ctx: _Context, pc: int):
-        """The per-word handler of ``pc`` as ``(template source, IR)``.
+    def _word_template(self, ctx: _Context, pc: int, bits: int):
+        """The handler of word ``bits`` at ``pc`` as ``(template source, IR)``.
 
         ``source.format(*ir.slots)`` is the handler's literal source;
         ``None`` when the word belongs to the reference stepper.
         """
-        ir = self._emit_word(ctx, pc)
+        ir = self._emit_word(ctx, pc, bits)
         if ir is None:
             return None
         body = ir.body + self._emit_epilogue(ir.flow, pc, ir.slots)
         return "def _h(regs, st):\n" + "\n".join("    " + line for line in body), ir
 
-    def _try_compile(self, ctx: _Context, pc: int):
-        word = self._word_template(ctx, pc)
+    def _build(self, ctx: _Context, pc: int, bits: int) -> tuple:
+        """``(handler, stats delta)`` of word ``bits`` at ``pc``;
+        ``(_FALLBACK, None)`` when the word belongs to the reference
+        stepper."""
+        word = self._word_template(ctx, pc, bits)
         if word is None:
-            return None
+            self.stats.fallbacks += 1
+            return _FALLBACK, None
+        self.stats.compiles += 1
         src, ir = word
         template = self._templates.get(src)
         if template is None:
@@ -499,8 +624,7 @@ class FastPathEngine:
         consts = list(consts)
         for i, value in zip(where, ir.slots):
             consts[i] = value
-        ctx.deltas[pc] = ir.delta
-        return FunctionType(code.replace(co_consts=tuple(consts)), self._env)
+        return FunctionType(code.replace(co_consts=tuple(consts)), self._env), ir.delta
 
     def _compile_template(self, src: str, nslots: int) -> tuple:
         """One ``exec()``: compile ``src`` with a unique sentinel per slot
@@ -517,8 +641,8 @@ class FastPathEngine:
             assert sentinel in consts, f"slot folded away in template:\n{src}"
         return code, consts, tuple(consts.index(s) for s in sentinels)
 
-    def _emit_word(self, ctx: _Context, pc: int):
-        """Emit the straight-line IR of the word at ``pc``.
+    def _emit_word(self, ctx: _Context, pc: int, bits: int):
+        """Emit the straight-line IR of word ``bits`` fetched at ``pc``.
 
         Returns a :class:`_WordIR` (body sans next-PC epilogue) or
         ``None`` when the word belongs to the reference stepper.
@@ -526,10 +650,6 @@ class FastPathEngine:
         from .cpu import HazardMode  # local import: cpu.py imports us lazily
 
         cpu = self.cpu
-        phys = self._phys
-        if not 0 <= pc < phys.size:
-            return None  # reference fetch raises the BusError
-        bits = phys._words.get(pc, 0)
         cached = cpu._decode_cache.get(pc)
         if cached is not None and cached[0] == bits:
             word = cached[1]
@@ -543,7 +663,7 @@ class FastPathEngine:
         mode = cpu.hazard_mode
         checked = mode is HazardMode.CHECKED
         interlocked = mode is HazardMode.INTERLOCKED
-        ovf_enabled = bool(ctx.key & 4)
+        ovf_enabled = bool(ctx.flags & 4)
 
         k = _Slots()        # word-specific integers, as template slots
         pre: list = []      # pure evaluation + all bail checks
@@ -622,7 +742,7 @@ class FastPathEngine:
         # ---- memory reference -----------------------------------------
         mem_lines: list = []
         if mem_piece is not None:
-            ea = self._emit_ea(mem_piece, pre, k)
+            ea = self._emit_ea(ctx, mem_piece, pre, k)
             if ea is None:
                 return None
             note = mem_piece.note
@@ -633,6 +753,10 @@ class FastPathEngine:
                 pre.append(f"_vst = regs[{k(mem_piece.src.number)}]")
                 mem_lines.append(f"MW[{ea}] = _vst")
                 mem_lines.append(f"if {ea} in FPCS: INVAL({ea})")
+            if ctx.mapped:
+                mem_lines.append("PMR[_pg] = True")
+                if isinstance(mem_piece, Store):
+                    mem_lines.append("PMD[_pg] = True")
 
         # ---- assemble the body ----------------------------------------
         body: list = []
@@ -666,6 +790,8 @@ class FastPathEngine:
             1 if word.uses_memory else 0,
             note,
         )
+        if ctx.mapped:
+            delta += (ctx.sysva(pc & _MASK) >> self._page_shift,)
         return _WordIR(body, k, flow, delta)
 
     # ---- emit helpers -----------------------------------------------------
@@ -769,13 +895,20 @@ class FastPathEngine:
         lines.append(f"_t{idx} = {expr}")
         return lines
 
-    def _emit_ea(self, piece, pre: list, k: _Slots) -> Optional[str]:
-        """Emit effective-address computation + bail checks; returns its name."""
+    def _emit_ea(self, ctx: _Context, piece, pre: list, k: _Slots) -> Optional[str]:
+        """Emit address computation + bail checks; returns the expression
+        of the physical address the reference is made at."""
         size = self._phys.size
         addr = piece.addr
         ea = "_ea"
         if isinstance(addr, Absolute):
             ea_val = addr.addr
+            if ctx.mapped:
+                sysva = ctx.sysva(ea_val)
+                if sysva is None:
+                    return None  # always a segment fault: reference territory
+                pre.append(f"_sv = {k(sysva)}")
+                return self._emit_page_lookup(pre)
             if not 0 <= ea_val < size:
                 return None  # always a bus error: reference territory
             if self._devices is not None and self._devices.claims(ea_val):
@@ -797,12 +930,37 @@ class FastPathEngine:
             pre.append(f"{ea} = regs[{k(addr.base.number)}] >> {k(addr.shift)}")
         else:
             return None
+        if ctx.mapped:
+            # the on-chip segment check (Cpu.translate): two regions, the
+            # hole between them faults
+            pre.extend((
+                f"if {ea} < {k(ctx.half)}:",
+                f"    _sv = {ea} + {k(ctx.low_base)}",
+                f"elif {ea} >= {k(ctx.top)}:",
+                f"    _sv = {ea} - {k(ctx.high_bias)}",
+                "else:",
+                "    raise _B",
+            ))
+            return self._emit_page_lookup(pre)
         pre.append(f"if {ea} >= {size}: raise _B")
         if self._devices is not None:
             from ..system.devices import DEV_BASE, DEV_WORDS
 
             pre.append(f"if {DEV_BASE} <= {ea} < {DEV_BASE + DEV_WORDS}: raise _B")
         return ea
+
+    def _emit_page_lookup(self, pre: list) -> str:
+        """The off-chip page map on system address ``_sv``: a hole in the
+        live map or a frame beyond memory bails; returns ``_pa``."""
+        shift = self._page_shift
+        pre.extend((
+            f"_pg = _sv >> {shift}",
+            "_f = PMG(_pg)",
+            "if _f is None: raise _B",
+            f"_pa = (_f << {shift}) | (_sv & {(1 << shift) - 1})",
+            f"if _pa >= {self._phys.size}: raise _B",
+        ))
+        return "_pa"
 
     @staticmethod
     def _emit_epilogue(flow, pc: int, k: _Slots) -> list:

@@ -438,8 +438,10 @@ class Kernel:
     def run(self, max_steps: int = 20_000_000, fast: bool = True) -> None:
         """Run until every process exits (the kernel halts the machine).
 
-        ``fast=True`` batches kernel-mode execution through the
-        threaded-code engine (:mod:`repro.sim.fastpath`).  The timer
+        ``fast=True`` batches execution, the kernel's and the user
+        processes' alike, through the threaded-code engine
+        (:mod:`repro.sim.fastpath`); only faults, traps, interrupts,
+        ``rfs`` and device accesses take reference steps.  The timer
         stays exact under batching: the engine is bounded by
         ``cycle_limit`` and fast words are one cycle each, so the
         interrupt is raised at the same step boundary the per-step loop
@@ -501,8 +503,12 @@ class Kernel:
         """Observability counter groups, including page-map traffic.
 
         The ``system`` group picks up this kernel's live page-map
-        statistics; attach a profiler before :meth:`boot` to populate
-        the per-PC-derived groups as well.
+        statistics.  The per-PC-derived groups (``mix``, ``immediates``
+        and the per-PC parts of ``control``) stay empty even with a
+        profiler attached: each process runs at virtual PCs that collide
+        with the other processes' and with the kernel's physical PCs, so
+        a PC names no single word.  The profiler's own per-PC counts and
+        event ring are exact.
         """
         from ..perf.counters import collect
 

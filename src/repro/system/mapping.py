@@ -57,13 +57,18 @@ class PageMap:
         self.pending_fault: Optional[int] = None
         #: clock hand for victim suggestion (a page number)
         self._clock_hand: int = -1
+        #: bumped by every map and unmap: the fast path compares it at
+        #: burst entry to find handlers whose code page moved or vanished
+        self.generation = 0
 
     def map_page(self, page: int, frame: int) -> None:
+        self.generation += 1
         self.entries[page] = frame
         self.referenced[page] = False
         self.dirty[page] = False
 
     def unmap_page(self, page: int) -> None:
+        self.generation += 1
         self.entries.pop(page, None)
         self.referenced.pop(page, None)
         self.dirty.pop(page, None)

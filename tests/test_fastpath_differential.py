@@ -8,11 +8,14 @@ fingerprints.
 """
 
 import dis
+import gc
+import weakref
 from dataclasses import asdict
 
 import pytest
 
 from repro.compiler import compile_source
+from repro.fuzz.case import make_case
 from repro.isa.encoding import encode
 from repro.isa.operations import AluOp, Comparison
 from repro.isa.pieces import (
@@ -34,11 +37,12 @@ from repro.perf.baseline import GATE_PROGRAMS
 from repro.reorg import OptLevel
 from repro.sim import HazardMode, HazardViolation, Machine, state_fingerprint
 from repro.sim.cpu import Cpu
-from repro.sim.faults import OverflowTrap, TrapInstruction
+from repro.sim.faults import OverflowTrap, PageFault, TrapInstruction
 from repro.sim.fastpath import _FALLBACK
 from repro.sim.machine import run_source
 from repro.sim.memory import PhysicalMemory
 from repro.system.kernel import Kernel
+from repro.system.mapping import PAGE_SHIFT, PAGE_WORDS
 from repro.workloads import CORPUS, MINIJAVA_CORPUS
 
 #: a fast-running cross-section of the corpus (control flow, recursion,
@@ -204,36 +208,273 @@ def test_self_modifying_code_invalidates_compiled_handlers(source, poke):
     assert fast_m.cpu.fastpath().stats.invalidations >= 1
 
 
-@pytest.mark.parametrize(
-    "quantum,max_frames", ((0, None), (700, None), (500, 8)),
-    ids=("run-to-exit", "preemptive", "paging-pressure"),
-)
-def test_kernel_differential(quantum, max_frames):
-    """Batched Kernel.run is exact: steps, timer quanta, paging, output."""
-    programs = [
-        compile_source(CORPUS[name]).program for name in ("fib_iterative", "calc")
-    ]
+def _kernel_snapshot(kernel):
+    """Everything a kernel run leaves observable: CPU state, physical
+    memory and its access counters, the page map with its referenced and
+    dirty bits, clock hand and pending fault, the disk, and each
+    process's output and state."""
+    pagemap, disk, physical = kernel.pagemap, kernel.disk, kernel.physical
+    return {
+        "cpu": state_fingerprint(kernel.cpu),
+        "steps_run": kernel.steps_run,
+        "halted": kernel.halted,
+        "memory": dict(physical._words),
+        "memory_stats": (physical.stats.reads, physical.stats.writes, physical.stats.fetches),
+        "entries": dict(pagemap.entries),
+        "referenced": dict(pagemap.referenced),
+        "dirty": dict(pagemap.dirty),
+        "clock_hand": pagemap._clock_hand,
+        "pending_fault": pagemap.pending_fault,
+        "pagemap_stats": dict(pagemap.stats.__dict__),
+        "disk_pages": {page: list(words) for page, words in disk.pages.items()},
+        "disk": (disk.copies, disk.writebacks),
+        "processes": [
+            (kernel.output(pid), kernel.output_text(pid), kernel.process_state(pid))
+            for pid in range(len(kernel.processes))
+        ],
+    }
+
+
+def _kernel(programs, **options):
+    kernel = Kernel(**options)
+    for program in programs:
+        kernel.add_process(program)
+    return kernel
+
+
+#: the os-multiprog benchmark configuration: four corpus programs under a
+#: preemptive kernel whose 8-frame pool forces eviction
+OS_MULTIPROG = ("sort", "hashsym", "wordcount", "sieve")
+OS_MULTIPROG_OPTIONS = {"quantum": 2000, "max_frames": 8}
+
+#: config id -> (corpus programs, Kernel options)
+KERNEL_CONFIGS = {
+    "run-to-exit": (("fib_iterative", "calc"), {"quantum": 0, "inputs": [5, 6]}),
+    "preemptive": (("fib_iterative", "calc"), {"quantum": 700, "inputs": [5, 6]}),
+    "paging-pressure": (
+        ("fib_iterative", "calc"),
+        {"quantum": 500, "max_frames": 8, "inputs": [5, 6]},
+    ),
+    "checked": (
+        ("fib_iterative", "calc"),
+        {"quantum": 500, "max_frames": 8, "inputs": [5, 6], "hazard_mode": HazardMode.CHECKED},
+    ),
+    "os-multiprog": (OS_MULTIPROG, OS_MULTIPROG_OPTIONS),
+}
+
+
+@pytest.mark.parametrize("config", KERNEL_CONFIGS)
+def test_kernel_differential(config):
+    """Batched Kernel.run is exact: steps, timer quanta, paging with its
+    referenced/dirty bits and clock hand, the disk, output -- and every
+    handler a mapped context built is its own literal source."""
+    names, options = KERNEL_CONFIGS[config]
+    programs = [compile_source(CORPUS[name]).program for name in names]
+    fast_k, ref_k = (_kernel(programs, **options) for _ in range(2))
+    fast_k.run(fast=True)
+    ref_k.run(fast=False)
+    assert _kernel_snapshot(fast_k) == _kernel_snapshot(ref_k)
+    engine = fast_k.cpu.fastpath()
+    assert any(ctx.mapped and ctx.memo for ctx in engine._contexts.values())
+    assert _assert_handlers_are_literal_source(engine) > 0
+
+
+#: fast-engine reference steps of the os-multiprog configuration, in
+#: OS_MULTIPROG's process order: the kernel's traps, rfs, device
+#: accesses and interrupt deliveries, and the user words that fault
+OS_MULTIPROG_REF_STEPS = 14_801
+
+
+def test_os_multiprog_pins_reference_steps():
+    """Mapped execution runs on handlers: only faults, traps, interrupts,
+    ``rfs`` and device accesses reach the reference stepper, and a word
+    that newly falls back fails here, not only as a slowdown."""
+    programs = [compile_source(CORPUS[name]).program for name in OS_MULTIPROG]
+    kernel = _kernel(programs, **OS_MULTIPROG_OPTIONS)
+    kernel.run()
+    stats = kernel.cpu.fastpath().stats
+    assert stats.ref_steps == OS_MULTIPROG_REF_STEPS
+    # a step that takes a fault or an interrupt retires no word, so the
+    # split is of the kernel's steps, not of its words -- plus the store
+    # that halts the machine, a reference step that raises mid-step
+    assert stats.word_dispatches + stats.ref_steps == kernel.steps_run + 1
+
+
+def _current_user_word(kernel):
+    """``(system page, physical address)`` of the user word at the PC, or
+    None when the CPU is in the kernel or that page is not mapped."""
+    cpu = kernel.cpu
+    if not cpu.surprise.mapping_enabled:
+        return None
+    try:
+        sysva = cpu.translate(cpu.pc)
+    except PageFault:
+        return None
+    frame = kernel.pagemap.entries.get(sysva >> PAGE_SHIFT)
+    if frame is None:
+        return None
+    return sysva >> PAGE_SHIFT, (frame << PAGE_SHIFT) | (sysva & (PAGE_WORDS - 1))
+
+
+def test_kernel_chunked_run_survives_host_map_and_memory_changes():
+    """997-word chunks land both engines on the same full snapshot at
+    every boundary -- also after the host unmaps the running process's
+    code page (it must fault back in, not run stale handlers) and pokes
+    ``trap #0`` over its next word (it must exit there)."""
+    names = ("scanner", "calc", "strings")
+    programs = [compile_source(CORPUS[name]).program for name in names]
+    options = KERNEL_CONFIGS["paging-pressure"][1]
+    kernels = {fast: _kernel(programs, **options) for fast in (True, False)}
+    exit_bits = encode(InstructionWord.single(Trap(0)))
+    unmapped = poked = None
+    chunks = 0
+    while not kernels[False].halted and chunks < 1000:
+        for fast, kernel in kernels.items():
+            kernel.run_steps(997, fast=fast)
+        chunks += 1
+        assert _kernel_snapshot(kernels[True]) == _kernel_snapshot(kernels[False]), chunks
+        where = _current_user_word(kernels[False])
+        if where is None:
+            continue
+        page, phys = where
+        if unmapped is None and chunks >= 4:
+            for kernel in kernels.values():
+                kernel.pagemap.unmap_page(page)
+            unmapped = chunks
+        elif poked is None and chunks >= 12:
+            for kernel in kernels.values():
+                kernel.physical.poke(phys, exit_bits)
+            poked = chunks
+    assert kernels[True].halted and unmapped and poked
+
+
+SMC_PATCH = encode(InstructionWord.single(MovImm(2, Reg(1))))
+
+#: user processes that fault, overflow, and rewrite their own code.  The
+#: kernel resumes a process through ``rfs``, whose three-word return
+#: stream runs on the reference stepper, so each program pads the words
+#: after ``start`` and after each trap with no-ops: the word under test
+#: runs on a handler
+FAULTING_PROCESSES = {
+    # a load from the hole between the two segment regions: killed.  The
+    # process space is 2**20 words, so 2**20 - 17 is past the lower half;
+    # added to the process's system base it would land on the stack page
+    # the store has just mapped, so a missing hole check reads, not faults
+    "hole": """
+        start:  movi #5, r1
+                st r1, 0(r14)
+                trap #1
+                nop
+                nop
+                nop
+                lim 1048559, r2
+                ld 0(r2), r1
+                nop
+                trap #1
+                trap #0
+    """,
+    # 0x7FFFF800 + 0x7FFFF800 overflows with traps on: killed
+    "overflow": """
+        start:  movi #7, r1
+                trap #1
+                nop
+                nop
+                nop
+                lim 1048575, r2
+                sll r2, #11, r2
+                add r2, r2, r3
+                mov #9, r1
+                trap #1
+                trap #0
+    """,
+    # the first pass stores `movi #2, r1` over `loop`, which already ran
+    # in the same burst; r6 sums 1 + 2 + 2
+    "self-modify": f"""
+        start:  nop
+                nop
+                nop
+                mov #0, r5
+                mov #0, r6
+        loop:   movi #1, r1
+                add r6, r1, r6
+                ld @patch, r2
+                nop
+                st r2, @loop
+                add r5, #1, r5
+                blo r5, #3, loop
+                nop
+                mov r6, r1
+                trap #1
+                trap #0
+        patch:  .word {SMC_PATCH}
+    """,
+}
+
+
+def test_kernel_faulting_processes():
+    """Segment holes and overflow kill their process precisely, and a
+    process storing into its own code page runs the new word."""
+    from repro.asm.assembler import assemble
+
+    programs = [assemble(source) for source in FAULTING_PROCESSES.values()]
+    programs.append(compile_source(CORPUS["fib_iterative"]).program)
     kernels = []
     for fast in (True, False):
-        kernel = Kernel(quantum=quantum, inputs=[5, 6], max_frames=max_frames)
-        for program in programs:
-            kernel.add_process(program)
+        kernel = _kernel(programs, quantum=200, max_frames=4, inputs=[5])
         kernel.run(fast=fast)
         kernels.append(kernel)
     fast_k, ref_k = kernels
-    assert state_fingerprint(fast_k.cpu) == state_fingerprint(ref_k.cpu)
-    assert fast_k.steps_run == ref_k.steps_run
-    assert fast_k.physical._words == ref_k.physical._words
-    assert fast_k.pagemap.stats.__dict__ == ref_k.pagemap.stats.__dict__
-    fstats, rstats = fast_k.physical.stats, ref_k.physical.stats
-    assert (fstats.reads, fstats.writes, fstats.fetches) == (
-        rstats.reads,
-        rstats.writes,
-        rstats.fetches,
-    )
-    for pid in range(len(programs)):
-        assert fast_k.output(pid) == ref_k.output(pid)
-        assert fast_k.process_state(pid) == ref_k.process_state(pid)
+    assert _kernel_snapshot(fast_k) == _kernel_snapshot(ref_k)
+    assert [fast_k.output(pid) for pid in range(3)] == [[5], [7], [5]]
+    assert fast_k.cpu.fastpath().stats.invalidations >= 2
+
+
+#: generated programs run as kernel processes: four AST and four MiniJava
+#: cases of one fuzz seed
+KERNEL_FUZZ_SEED = 7
+KERNEL_FUZZ_CASES = [(mode, index) for mode in ("ast", "minijava") for index in range(4)]
+
+
+@pytest.mark.parametrize(
+    "mode,index", KERNEL_FUZZ_CASES, ids=[f"{m}-{i}" for m, i in KERNEL_FUZZ_CASES]
+)
+def test_generated_programs_as_kernel_processes(mode, index):
+    """A generated program, run twice over as two processes under a
+    small-frame preemptive kernel, leaves identical snapshots on both
+    engines, and each process prints what the bare machine prints with
+    overflow traps on (the kernel runs processes with traps on and kills
+    one that overflows)."""
+    case = make_case(KERNEL_FUZZ_SEED, index, mode)
+    compile_case = compile_source if mode == "ast" else compile_minijava
+    program = compile_case(case.source).program
+    kernels = []
+    for fast in (True, False):
+        kernel = _kernel([program, program], quantum=300, max_frames=4)
+        kernel.run(fast=fast)
+        kernels.append(kernel)
+    fast_k, ref_k = kernels
+    assert _kernel_snapshot(fast_k) == _kernel_snapshot(ref_k)
+    bare = Machine(program)
+    bare.cpu.surprise.overflow_traps_enabled = True
+    try:
+        bare.run(2_000_000)
+    except OverflowTrap:
+        pass
+    assert fast_k.output(0) == fast_k.output(1) == bare.output
+
+
+def test_bailed_machine_is_collected():
+    """A machine whose fast run bailed is freed once dropped: the shared
+    bail exception must not keep the handlers' frames, and with them the
+    CPU, alive through its traceback."""
+    program = compile_source(CORPUS["sort"], opt_level=OptLevel.NONE).program
+    machine = Machine(program, hazard_mode=HazardMode.INTERLOCKED, inputs=[7, 3, 9])
+    machine.run(60_000_000)
+    assert machine.cpu.fastpath().stats.bails > 0
+    alive = weakref.ref(machine)
+    del machine
+    gc.collect()
+    assert alive() is None
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +529,20 @@ def _opcodes(fn):
     return [(i.opname, i.argval) for i in dis.get_instructions(fn)]
 
 
+def _compiled_words(engine):
+    """``(context, pc, bits, handler)`` for every handler the engine holds:
+    the live ones of unmapped contexts, and every handler a mapped
+    context ever built (its ``(pc, bits)`` memo)."""
+    words = engine._phys._words
+    for ctx in engine._contexts.values():
+        if ctx.mapped:
+            for (pc, bits), (handler, _delta) in ctx.memo.items():
+                yield ctx, pc, bits, handler
+        else:
+            for pc, handler in ctx.handlers.items():
+                yield ctx, pc, words.get(pc, 0), handler
+
+
 def _assert_handlers_are_literal_source(engine, every_word=True) -> int:
     """Each compiled handler is bytecode-identical to its template rendered
     with its own slot values and compiled; returns how many were checked.
@@ -296,18 +551,17 @@ def _assert_handlers_are_literal_source(engine, every_word=True) -> int:
     """
     checked = 0
     seen = set()
-    for ctx in engine._contexts.values():
-        for pc, handler in ctx.handlers.items():
-            if handler is _FALLBACK:
-                continue
-            src, ir = engine._word_template(ctx, pc)
-            if not every_word and src in seen:
-                continue
-            seen.add(src)
-            namespace = {}
-            exec(src.format(*ir.slots), namespace)
-            assert _opcodes(handler) == _opcodes(namespace["_h"]), (pc, src, ir.slots)
-            checked += 1
+    for ctx, pc, bits, handler in _compiled_words(engine):
+        if handler is _FALLBACK:
+            continue
+        src, ir = engine._word_template(ctx, pc, bits)
+        if not every_word and src in seen:
+            continue
+        seen.add(src)
+        namespace = {}
+        exec(src.format(*ir.slots), namespace)
+        assert _opcodes(handler) == _opcodes(namespace["_h"]), (pc, src, ir.slots)
+        checked += 1
     return checked
 
 

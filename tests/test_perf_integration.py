@@ -13,12 +13,14 @@ from repro.asm import assemble
 from repro.chaos import injection, make_plan, run_plan
 from repro.chaos.campaigns import _counting_source
 from repro.cli import prof_main
+from repro.compiler import compile_source
 from repro.farm import ResultStore, Scheduler, aggregate
 from repro.farm.job import profile_jobs
 from repro.perf import Profiler, collect, stable_groups
 from repro.sim import Machine, state_fingerprint
 from repro.sim.tracing import trace
 from repro.system.kernel import Kernel
+from repro.workloads import CORPUS
 
 
 class TestFarmProfileExport:
@@ -140,6 +142,27 @@ class TestSystemGroups:
         kernel.run(200_000)
         groups = kernel.counter_groups()
         assert groups["system"]["pagemap_translations"] > 0
+
+    def test_kernel_groups_are_engine_identical(self):
+        """Each process's virtual PCs collide with the others' and with
+        the kernel's physical PCs, so a kernel leaves the per-PC-derived
+        groups empty; what remains, the per-PC counts and the event ring
+        agree across engines on a profiled four-process run."""
+        runs = []
+        for fast in (True, False):
+            kernel = Kernel(quantum=300, max_frames=8, inputs=[5, 6])
+            for name in ("fib_iterative", "calc", "strings", "scanner"):
+                kernel.add_process(compile_source(CORPUS[name]).program)
+            kernel.boot()
+            profiler = Profiler().attach(kernel.cpu)
+            kernel.run(fast=fast)
+            groups = stable_groups(kernel.counter_groups())
+            runs.append((groups, profiler.counts, profiler.events))
+        assert runs[0] == runs[1]
+        groups, counts, _events = runs[0]
+        assert counts and groups["mix"] == {} and groups["immediates"]["total"] == 0
+        assert groups["control"]["compares_executed"] == 0
+        assert groups["control"]["branches"] > 0
 
     def test_dma_traffic_lands_in_system_group(self):
         from repro.system.dma import FreeCycleDma, run_with_dma
