@@ -9,9 +9,11 @@ branches take time 4".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..isa.bits import s32, u32
+from ..isa.operations import ALU_FUNCTIONS, AluOp
+from ..lang.arith import OPERATORS
 from .isa import (
     AbsAddr,
     Alu,
@@ -47,6 +49,25 @@ COST_BRANCH = 4
 
 class CcMachineError(Exception):
     pass
+
+
+#: op -> ``f(dst, src)`` on u32 operands, built from the shared
+#: definitions: the source-level operators (the CISC has multiply and
+#: divide in hardware) and the MIPS ALU's logic and shift entries
+_ALU: Dict[CcAluOp, Callable[[int, int], int]] = {
+    CcAluOp.ADD: OPERATORS["+"],
+    CcAluOp.SUB: OPERATORS["-"],
+    CcAluOp.MUL: OPERATORS["*"],
+    CcAluOp.DIV: OPERATORS["div"],
+    CcAluOp.MOD: OPERATORS["mod"],
+    CcAluOp.AND: ALU_FUNCTIONS[AluOp.AND],
+    CcAluOp.OR: ALU_FUNCTIONS[AluOp.OR],
+    CcAluOp.XOR: ALU_FUNCTIONS[AluOp.XOR],
+    CcAluOp.SLL: ALU_FUNCTIONS[AluOp.SLL],
+    CcAluOp.SRA: ALU_FUNCTIONS[AluOp.SRA],
+    CcAluOp.NEG: lambda dst, src: OPERATORS["-"](0, src),
+    CcAluOp.NOT: lambda dst, src: 1 - (src & 1),
+}
 
 
 @dataclass
@@ -210,39 +231,10 @@ class CcMachine:
     # -- execution --------------------------------------------------------------------
 
     def _alu(self, op: CcAluOp, src: int, dst: int) -> int:
-        a, b = s32(dst), s32(src)
-        if op is CcAluOp.ADD:
-            return u32(a + b)
-        if op is CcAluOp.SUB:
-            return u32(a - b)
-        if op is CcAluOp.MUL:
-            return u32(a * b)
-        if op is CcAluOp.DIV:
-            if b == 0:
-                raise CcMachineError("division by zero")
-            q = abs(a) // abs(b)
-            return u32(q if (a < 0) == (b < 0) else -q)
-        if op is CcAluOp.MOD:
-            if b == 0:
-                raise CcMachineError("division by zero")
-            q = abs(a) // abs(b)
-            q = q if (a < 0) == (b < 0) else -q
-            return u32(a - q * b)
-        if op is CcAluOp.AND:
-            return u32(a & b)
-        if op is CcAluOp.OR:
-            return u32(a | b)
-        if op is CcAluOp.XOR:
-            return u32(a ^ b)
-        if op is CcAluOp.SLL:
-            return u32(u32(a) << (b & 31))
-        if op is CcAluOp.SRA:
-            return u32(a >> (b & 31))
-        if op is CcAluOp.NEG:
-            return u32(-b)
-        if op is CcAluOp.NOT:
-            return u32(1 - (b & 1))
-        raise CcMachineError(f"bad ALU op {op}")
+        try:
+            return _ALU[op](dst, src)
+        except ZeroDivisionError:
+            raise CcMachineError("division by zero") from None
 
     def step(self) -> None:
         if not 0 <= self.pc < len(self.program.instrs):

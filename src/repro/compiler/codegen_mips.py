@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Dict, List, Optional, Set, Tuple, Union
 
+from ..isa.bits import s32
 from ..isa.immediates import fits_imm4, fits_movi
 from ..isa.operations import (
     NEGATED_COMPARISON,
@@ -66,6 +67,7 @@ from ..isa.pieces import (
 )
 from ..isa.registers import FP, RA, SP, Reg, SpecialReg
 from ..lang import ast
+from ..lang.arith import OPERATORS
 from ..lang.semantic import CheckedProgram, RoutineSymbol, VarSymbol
 from ..lang.types import BOOLEAN, CHAR, INTEGER, ArrayType, RecordType, Type
 from ..reorg.blocks import LabeledPiece
@@ -1057,28 +1059,13 @@ class CodeGenerator:
         assert expr.left is not None and expr.right is not None
         op = expr.op
         left = self.gen_expr(expr.left)
-        # constant folding -- wrapped to the 32-bit register width the
-        # runtime ALU would have produced, or folded and computed values
-        # disagree on wraparound edges
+        # constant folding: on the operands' 32-bit images, exactly as run
+        # time computes; a zero divisor is left to trap at run time
         if left.is_const and isinstance(expr.right, (ast.IntLit, ast.CharLit)):
-            from ..isa.bits import s32
-
-            rv = expr.right.value
-            lv = left.const
-            assert lv is not None
-            if op == "+":
-                return Val(const=s32(lv + rv))
-            if op == "-":
-                return Val(const=s32(lv - rv))
-            if op == "*":
-                return Val(const=s32(lv * rv))
-            if op == "div" and rv != 0:
-                quotient = abs(lv) // abs(rv)
-                return Val(const=s32(quotient if (lv < 0) == (rv < 0) else -quotient))
-            if op == "mod" and rv != 0:
-                quotient = abs(lv) // abs(rv)
-                signed = quotient if (lv < 0) == (rv < 0) else -quotient
-                return Val(const=s32(lv - signed * rv))
+            try:
+                return Val(const=OPERATORS[op](left.const, expr.right.value))
+            except ZeroDivisionError:
+                pass
 
         if op in ("+", "-"):
             right = self.gen_expr(expr.right)
@@ -1104,8 +1091,7 @@ class CodeGenerator:
                 else (left, right) if left.is_const else (None, None)
             )
             if const is not None and other is not None:
-                value = const.const
-                assert value is not None
+                value = s32(const.const)  # the image the register holds
                 if value == 0:
                     self.free_val(other)
                     return Val(const=0)
@@ -1121,10 +1107,11 @@ class CodeGenerator:
             self.needs_mul = True
             return self._gen_runtime_binary("__mul", left, right, result_reg=1)
 
-        # div / mod: a power-of-two divisor strength-reduces to a short
-        # sign-correct shift sequence (truncation toward zero)
-        if isinstance(expr.right, ast.IntLit) and expr.right.value > 0:
-            divisor = expr.right.value
+        # div / mod: a divisor whose 32-bit image is a positive power of
+        # two strength-reduces to a short sign-correct shift sequence
+        # (truncation toward zero)
+        divisor = s32(expr.right.value) if isinstance(expr.right, ast.IntLit) else 0
+        if divisor > 0:
             if divisor == 1:
                 if op == "div":
                     return left

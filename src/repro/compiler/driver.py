@@ -31,9 +31,6 @@ class CompiledProgram:
     def static_count(self) -> int:
         return self.reorg.static_count
 
-    def global_addr(self, name: str) -> int:
-        return self.unit.global_addrs[name]
-
 
 def compile_checked(
     checked: CheckedProgram,

@@ -152,11 +152,6 @@ CLOBBERS = {
 }
 
 
-def multiprec_stream() -> List[LabeledPiece]:
-    """The multiprecision add/subtract routines as a piece stream."""
-    return assemble_pieces(MPADD_SOURCE + MPSUB_SOURCE)
-
-
 def runtime_stream(
     need_mul: bool, need_div: bool, need_alloc: bool = False
 ) -> List[LabeledPiece]:

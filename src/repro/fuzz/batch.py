@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 from typing import Any, Dict, List
 
-from .case import case_mode, make_case
+from .case import make_case
 from .oracle import check_case
 
 #: default per-batch case count when sharding a run into jobs
@@ -90,12 +90,3 @@ def batch_ranges(cases: int, batch: int) -> List[Dict[str, int]]:
         {"start": start, "count": min(batch, cases - start)}
         for start in range(0, cases, batch)
     ]
-
-
-def case_modes(mode: str, cases: int) -> Dict[str, int]:
-    """How many cases of each concrete mode a run will generate."""
-    counts: Dict[str, int] = {}
-    for index in range(cases):
-        concrete = case_mode(mode, index)
-        counts[concrete] = counts.get(concrete, 0) + 1
-    return counts

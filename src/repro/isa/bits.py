@@ -51,25 +51,3 @@ def fits_unsigned(value: int, bits: int) -> bool:
 def fits_signed(value: int, bits: int) -> bool:
     """True when ``value`` is representable as a signed ``bits``-bit field."""
     return -(1 << (bits - 1)) <= value < (1 << (bits - 1))
-
-
-def add32(a: int, b: int) -> int:
-    """32-bit wrapping addition (unsigned image)."""
-    return u32(a + b)
-
-
-def sub32(a: int, b: int) -> int:
-    """32-bit wrapping subtraction (unsigned image)."""
-    return u32(a - b)
-
-
-def overflows_add(a: int, b: int) -> bool:
-    """True when signed 32-bit addition of ``a`` and ``b`` overflows."""
-    result = s32(a) + s32(b)
-    return not (MIN_INT32 <= result <= MAX_INT32)
-
-
-def overflows_sub(a: int, b: int) -> bool:
-    """True when signed 32-bit subtraction ``a - b`` overflows."""
-    result = s32(a) - s32(b)
-    return not (MIN_INT32 <= result <= MAX_INT32)

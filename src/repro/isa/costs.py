@@ -56,10 +56,6 @@ class CostRange:
     def __add__(self, other: "CostRange") -> "CostRange":
         return CostRange(self.lo + other.lo, self.hi + other.hi)
 
-    @property
-    def midpoint(self) -> float:
-        return (self.lo + self.hi) / 2
-
     def __repr__(self) -> str:
         if self.lo == self.hi:
             return f"{self.lo:g}"

@@ -19,7 +19,6 @@ extension in the constant insertion hardware."
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from typing import List
 
@@ -76,22 +75,6 @@ def fits_movi(value: int) -> bool:
     return 0 <= value <= 255
 
 
-@dataclass(frozen=True)
-class MaterializedConstant:
-    """Plan for getting a constant into a register.
-
-    ``pieces`` is the instruction sequence (empty when the constant can
-    be used in place as an operand).
-    """
-
-    value: int
-    pieces: List[Piece]
-
-    @property
-    def cost(self) -> int:
-        return len(self.pieces)
-
-
 def materialize(value: int, dst: Reg) -> List[Piece]:
     """Instruction pieces that place ``value`` into register ``dst``.
 
@@ -126,8 +109,3 @@ def synthesize_large(value: int, dst: Reg, scratch: Reg) -> List[Piece]:
         LoadImm(low, scratch),
         Alu(AluOp.OR, dst, scratch, dst),
     ]
-
-
-def materialization_class(value: int) -> ConstantClass:
-    """The cheapest mechanism class that covers ``value`` (for reporting)."""
-    return classify_constant(value)

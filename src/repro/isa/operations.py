@@ -10,14 +10,25 @@ instructions of section 4.1 (insert byte / extract byte) and the *reverse*
 subtract used to express small negative constants without sign-extension
 hardware (section 2.2: "provide reverse operators that allow the constants
 to be treated as negative").
+
+The tables below are the definition of this arithmetic, written once:
+:data:`ALU_EXPRESSIONS`, :data:`OVERFLOW_EXPRESSIONS` and
+:data:`COMPARISONS` hold each operation as the text of one Python
+expression over ``{a}`` and ``{b}``, the unsigned 32-bit images of the
+two operands.  The reference evaluators (:func:`alu_evaluate`,
+:func:`alu_insert_byte`, :func:`alu_overflows`, :func:`compare`) are
+compiled from that text at import, and the fast path
+(:mod:`repro.sim.fastpath`) renders its handlers from the same entries.
+The fast path compiles one handler per template, with a slot constant
+per word-specific integer, so a literal in an entry only ever meets a
+name: ``{a} * 2`` is allowed, ``2 * 8`` would fold two constants (and a
+slot with them) into one.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from typing import Callable, Dict
-
-from .bits import s32, u32, overflows_add, overflows_sub
+from typing import Callable, Dict, Tuple
 
 
 class AluOp(Enum):
@@ -63,60 +74,63 @@ PACKABLE_ALU_OPS = frozenset(
     }
 )
 
+#: Each op's result (an unsigned 32-bit image).  ``IC`` inserts the low
+#: byte of ``{a}`` into ``{w}``, the word already in its destination, at
+#: the byte named by ``{b}``, the low 2 bits of LO (its s2 is unused);
+#: ``XC`` extracts the byte of ``{b}`` that the low 2 bits of ``{a}``
+#: name ("the low order two bits of a byte pointer", byte 0 least
+#: significant).  ``MSTEP`` and ``DSTEP`` are one step of a
+#: shift-and-add multiply and of a restoring division (the chip has no
+#: multi-cycle multiplier).  ``_sh :=`` names a temporary.
+ALU_EXPRESSIONS: Dict[AluOp, str] = {
+    AluOp.ADD: "({a} + {b}) & 4294967295",
+    AluOp.SUB: "({a} - {b}) & 4294967295",
+    AluOp.RSUB: "({b} - {a}) & 4294967295",
+    AluOp.AND: "{a} & {b}",
+    AluOp.OR: "{a} | {b}",
+    AluOp.XOR: "{a} ^ {b}",
+    AluOp.SLL: "({a} << ({b} & 31)) & 4294967295",
+    AluOp.SRL: "{a} >> ({b} & 31)",
+    AluOp.SRA: (
+        "(({a} - 4294967296) >> ({b} & 31)) & 4294967295"
+        " if {a} & 2147483648 else {a} >> ({b} & 31)"
+    ),
+    AluOp.MOV: "{a}",
+    AluOp.NOT: "{a} ^ 4294967295",
+    AluOp.IC: "({w} & ~(255 << (_sh := ({b} & 3) * 8))) | (({a} & 255) << _sh)",
+    AluOp.XC: "({b} >> (({a} & 3) * 8)) & 255",
+    AluOp.MSTEP: "({a} * 2 + {b}) & 4294967295",
+    AluOp.DSTEP: (
+        "(_sh - {b}) | 1 if (_sh := ({a} << 1) & 4294967295) >= {b}"
+        " else _sh & 4294967294"
+    ),
+}
 
-def _extract_byte(selector: int, word: int) -> int:
-    """Extract the byte of ``word`` named by the low 2 bits of ``selector``.
-
-    Byte 0 is the least significant byte.  This is the semantics of the
-    paper's ``xc`` instruction: "extract the byte specified by the low
-    order two bits of a byte pointer".
-    """
-    shift = (selector & 0x3) * 8
-    return (u32(word) >> shift) & 0xFF
-
-
-def _insert_byte(selector: int, source: int, word: int) -> int:
-    """Insert the low byte of ``source`` into ``word`` at the selected byte."""
-    shift = (selector & 0x3) * 8
-    mask = 0xFF << shift
-    return (u32(word) & ~mask & 0xFFFFFFFF) | ((source & 0xFF) << shift)
+#: The ops that detect signed overflow, each with its predicate: nonzero
+#: exactly when the signed result leaves 32 bits.  The machine traps
+#: (when enabled in the surprise register) rather than setting a
+#: condition code (paper section 2.3.3).
+OVERFLOW_EXPRESSIONS: Dict[AluOp, str] = {
+    AluOp.ADD: "({a} ^ {b} ^ 2147483648) & ({a} ^ ({a} + {b})) & 2147483648",
+    AluOp.SUB: "({a} ^ {b}) & ({a} ^ ({a} - {b})) & 2147483648",
+    AluOp.RSUB: "({a} ^ {b}) & ({b} ^ ({b} - {a})) & 2147483648",
+}
 
 
-def _mstep(acc: int, multiplicand: int) -> int:
-    """One multiply step: shift-and-add on the accumulator.
-
-    A full 32x32 multiply is synthesized from 32 ``mstep`` instructions by
-    the runtime library (the chip has no multi-cycle multiplier; the paper
-    notes a numeric coprocessor is envisioned for intensive arithmetic).
-    The step computes ``acc*2 + multiplicand`` -- the classic
-    shift-accumulate kernel driven by the multiplier bits in software.
-    """
-    return u32(u32(acc) * 2 + u32(multiplicand))
+def _compile(params: str, expr: str) -> Callable[..., object]:
+    """``lambda params: expr`` -- one table entry as a function."""
+    return eval(f"lambda {params}: {expr}")
 
 
-def _dstep(remainder: int, divisor: int) -> int:
-    """One restoring-division step: conditional subtract after shift."""
-    shifted = u32(remainder << 1)
-    if shifted >= u32(divisor):
-        return u32(shifted - u32(divisor)) | 1
-    return shifted & ~1 & 0xFFFFFFFF
-
-
-_ALU_FUNCS: Dict[AluOp, Callable[[int, int], int]] = {
-    AluOp.ADD: lambda a, b: u32(a + b),
-    AluOp.SUB: lambda a, b: u32(a - b),
-    AluOp.RSUB: lambda a, b: u32(b - a),
-    AluOp.AND: lambda a, b: u32(a & b),
-    AluOp.OR: lambda a, b: u32(a | b),
-    AluOp.XOR: lambda a, b: u32(a ^ b),
-    AluOp.SLL: lambda a, b: u32(u32(a) << (b & 31)),
-    AluOp.SRL: lambda a, b: u32(a) >> (b & 31),
-    AluOp.SRA: lambda a, b: u32(s32(a) >> (b & 31)),
-    AluOp.MOV: lambda a, b: u32(a),
-    AluOp.NOT: lambda a, b: u32(~a),
-    AluOp.XC: _extract_byte,
-    AluOp.MSTEP: _mstep,
-    AluOp.DSTEP: _dstep,
+#: the compiled :data:`ALU_EXPRESSIONS`: ``f(a, b)`` on u32 images
+#: (``IC``: ``f(a, b, w)``)
+ALU_FUNCTIONS: Dict[AluOp, Callable[..., int]] = {
+    op: _compile("a, b, w" if "{w}" in expr else "a, b", expr.format(a="a", b="b", w="w"))
+    for op, expr in ALU_EXPRESSIONS.items()
+}
+_OVERFLOWS: Dict[AluOp, Callable[[int, int], bool]] = {
+    op: _compile("a, b", f"({expr.format(a='a', b='b')}) != 0")
+    for op, expr in OVERFLOW_EXPRESSIONS.items()
 }
 
 
@@ -128,28 +142,24 @@ def alu_evaluate(op: AluOp, s1: int, s2: int) -> int:
     """
     if op is AluOp.IC:
         raise ValueError("insert byte needs the LO selector; use alu_insert_byte")
-    return _ALU_FUNCS[op](u32(s1), u32(s2))
+    return ALU_FUNCTIONS[op](s1 & 4294967295, s2 & 4294967295)
 
 
 def alu_insert_byte(lo_selector: int, source: int, word: int) -> int:
     """Evaluate the insert-byte instruction (``ic lo,src,dst``)."""
-    return _insert_byte(lo_selector, source, word)
+    return ALU_FUNCTIONS[AluOp.IC](
+        source & 4294967295, lo_selector & 4294967295, word & 4294967295
+    )
 
 
 def alu_overflows(op: AluOp, s1: int, s2: int) -> bool:
     """True when the signed result of ``op`` overflows 32 bits.
 
-    Only ``ADD``, ``SUB`` and ``RSUB`` participate in overflow detection;
-    the machine traps (when enabled in the surprise register) rather than
-    setting a condition code (paper section 2.3.3).
+    Only ``ADD``, ``SUB`` and ``RSUB`` participate in overflow detection
+    (:data:`OVERFLOW_EXPRESSIONS`).
     """
-    if op is AluOp.ADD:
-        return overflows_add(s1, s2)
-    if op is AluOp.SUB:
-        return overflows_sub(s1, s2)
-    if op is AluOp.RSUB:
-        return overflows_sub(s2, s1)
-    return False
+    overflows = _OVERFLOWS.get(op)
+    return overflows is not None and overflows(s1 & 4294967295, s2 & 4294967295)
 
 
 class Comparison(Enum):
@@ -183,23 +193,38 @@ class Comparison(Enum):
         return self.value
 
 
+#: Each comparison as ``(expression, xa, xb)``: the expression is applied
+#: to ``{a} = s1 ^ xa`` and ``{b} = s2 ^ xb``.  XOR with 2147483648
+#: biases a signed operand into unsigned order (s32(a) < s32(b) exactly
+#: when (a ^ 2**31) < (b ^ 2**31)); XOR with 4294967295 complements the
+#: ``NBC``/``NBS`` mask.
+COMPARISONS: Dict[Comparison, Tuple[str, int, int]] = {
+    Comparison.EQ: ("{a} == {b}", 0, 0),
+    Comparison.NE: ("{a} != {b}", 0, 0),
+    Comparison.LT: ("{a} < {b}", 2147483648, 2147483648),
+    Comparison.LE: ("{a} <= {b}", 2147483648, 2147483648),
+    Comparison.GT: ("{a} > {b}", 2147483648, 2147483648),
+    Comparison.GE: ("{a} >= {b}", 2147483648, 2147483648),
+    Comparison.LO: ("{a} < {b}", 0, 0),
+    Comparison.LS: ("{a} <= {b}", 0, 0),
+    Comparison.HI: ("{a} > {b}", 0, 0),
+    Comparison.HS: ("{a} >= {b}", 0, 0),
+    Comparison.T: ("True", 0, 0),
+    Comparison.F: ("False", 0, 0),
+    Comparison.BC: ("({a} & {b}) == 0", 0, 0),
+    Comparison.BS: ("({a} & {b}) != 0", 0, 0),
+    Comparison.NBC: ("({a} & {b}) == 0", 0, 4294967295),
+    Comparison.NBS: ("({a} & {b}) != 0", 0, 4294967295),
+}
+
+
+def _transformed(name: str, xor: int) -> str:
+    return f"({name} ^ {xor})" if xor else name
+
+
 _COMPARE_FUNCS: Dict[Comparison, Callable[[int, int], bool]] = {
-    Comparison.EQ: lambda a, b: u32(a) == u32(b),
-    Comparison.NE: lambda a, b: u32(a) != u32(b),
-    Comparison.LT: lambda a, b: s32(a) < s32(b),
-    Comparison.LE: lambda a, b: s32(a) <= s32(b),
-    Comparison.GT: lambda a, b: s32(a) > s32(b),
-    Comparison.GE: lambda a, b: s32(a) >= s32(b),
-    Comparison.LO: lambda a, b: u32(a) < u32(b),
-    Comparison.LS: lambda a, b: u32(a) <= u32(b),
-    Comparison.HI: lambda a, b: u32(a) > u32(b),
-    Comparison.HS: lambda a, b: u32(a) >= u32(b),
-    Comparison.T: lambda a, b: True,
-    Comparison.F: lambda a, b: False,
-    Comparison.BC: lambda a, b: (u32(a) & u32(b)) == 0,
-    Comparison.BS: lambda a, b: (u32(a) & u32(b)) != 0,
-    Comparison.NBC: lambda a, b: (u32(a) & u32(~b)) == 0,
-    Comparison.NBS: lambda a, b: (u32(a) & u32(~b)) != 0,
+    cond: _compile("a, b", expr.format(a=_transformed("a", xa), b=_transformed("b", xb)))
+    for cond, (expr, xa, xb) in COMPARISONS.items()
 }
 
 #: comparison obtained by exchanging the two operands
@@ -243,7 +268,7 @@ NEGATED_COMPARISON = {
 
 def compare(cond: Comparison, s1: int, s2: int) -> bool:
     """Evaluate comparison ``cond`` on the two 32-bit operands."""
-    return _COMPARE_FUNCS[cond](s1, s2)
+    return _COMPARE_FUNCS[cond](s1 & 4294967295, s2 & 4294967295)
 
 
 assert len(Comparison) == 16, "the paper specifies exactly 16 comparisons"

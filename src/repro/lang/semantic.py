@@ -39,10 +39,6 @@ class VarSymbol:
     by_ref: bool = False
     routine: Optional[str] = None  # owning routine, None for globals
 
-    @property
-    def is_global(self) -> bool:
-        return self.kind == "global"
-
 
 @dataclass
 class RoutineSymbol:

@@ -340,15 +340,6 @@ def collect(
     return groups
 
 
-def collect_for(target) -> Dict[str, Dict[str, object]]:
-    """Counter groups for a Machine or Kernel (duck-typed system parts)."""
-    return collect(
-        target.cpu,
-        pagemap=getattr(target, "pagemap", None),
-        dma=getattr(target, "dma", None),
-    )
-
-
 def stable_groups(groups: Dict[str, Dict[str, object]]) -> Dict[str, Dict[str, object]]:
     """The engine-identical subset (drops :data:`VOLATILE_GROUPS`)."""
     return {name: dict(values) for name, values in groups.items() if name not in VOLATILE_GROUPS}

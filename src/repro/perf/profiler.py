@@ -53,10 +53,6 @@ class Profiler:
         cpu.profiler = self
         return self
 
-    @staticmethod
-    def detach(cpu) -> None:
-        cpu.profiler = None
-
     # -- recording (called from the simulator's cold paths) ------------
 
     def record_event(self, kind: str, words: int, pc: int, *detail) -> None:

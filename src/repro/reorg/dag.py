@@ -144,10 +144,6 @@ class DependenceDag:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def roots(self) -> List[int]:
-        """Nodes with no predecessors (schedulable first)."""
-        return [n.index for n in self.nodes if not n.preds]
-
     def topological_check(self, order: Sequence[int]) -> bool:
         """True when ``order`` respects every edge direction."""
         position = {index: at for at, index in enumerate(order)}

@@ -59,14 +59,6 @@ class ScheduledBlock:
     def static_count(self) -> int:
         return len(self.words)
 
-    @property
-    def delay_slot_positions(self) -> List[int]:
-        if self.flow_pos is None or self.block.flow is None:
-            return []
-        return list(
-            range(self.flow_pos + 1, self.flow_pos + 1 + self.block.flow.delay_slots)
-        )
-
 
 def _loaded_registers(word: Optional[InstructionWord]) -> Set:
     """Registers a word leaves in flight (its load destinations)."""

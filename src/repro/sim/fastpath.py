@@ -22,6 +22,12 @@ meet in one constant-foldable expression (e.g. an immediate's sign bias
 is applied at emit time), and template compilation asserts that every
 slot survived as its own constant.
 
+The arithmetic is not written here: ALU results, overflow predicates and
+comparisons are rendered from the expression tables of
+:mod:`repro.isa.operations`, the same entries the reference stepper's
+evaluators are compiled from.  Handlers carry the rendered text inline
+and never call those evaluators.
+
 Correctness discipline (what keeps the fast path bit-for-bit identical
 to :meth:`Cpu.step`):
 
@@ -76,7 +82,13 @@ from typing import Dict, Optional
 
 from ..isa.bits import u32
 from ..isa.encoding import decode
-from ..isa.operations import AluOp, Comparison, alu_overflows
+from ..isa.operations import (
+    ALU_EXPRESSIONS,
+    COMPARISONS,
+    OVERFLOW_EXPRESSIONS,
+    AluOp,
+    compare,
+)
 from ..isa.pieces import (
     Absolute,
     Alu,
@@ -113,35 +125,7 @@ _BAIL = _Bail("fast path bail")
 #: cache marker for words that must always run on the reference stepper
 _FALLBACK = object()
 
-#: ALU ops participating in overflow detection (mirrors alu_overflows)
-_OVF_OPS = (AluOp.ADD, AluOp.SUB, AluOp.RSUB)
-
-_SIGN = 2147483648
 _MASK = 4294967295
-
-#: comparisons on the raw (unsigned) operand values
-_UNSIGNED_COMPARES = {
-    Comparison.EQ: "==",
-    Comparison.NE: "!=",
-    Comparison.LO: "<",
-    Comparison.LS: "<=",
-    Comparison.HI: ">",
-    Comparison.HS: ">=",
-}
-#: signed-compare trick: s32(a) < s32(b)  <=>  (a^SIGN) < (b^SIGN)
-_SIGNED_COMPARES = {
-    Comparison.LT: "<",
-    Comparison.LE: "<=",
-    Comparison.GT: ">",
-    Comparison.GE: ">=",
-}
-#: bit tests: comparison -> (test a & ~b rather than a & b, result op 0)
-_BIT_TESTS = {
-    Comparison.BC: (False, "=="),
-    Comparison.BS: (False, "!="),
-    Comparison.NBC: (True, "=="),
-    Comparison.NBS: (True, "!="),
-}
 
 #: first sentinel constant a template is compiled with: far above every
 #: value a handler computes with, so no slot collides with a real literal
@@ -582,7 +566,6 @@ class FastPathEngine:
             "MW": self._phys._words,
             "MWG": self._phys._words.get,
             "CPU": self.cpu,
-            "OVF": alu_overflows,
             "FPCS": self._code,
             "INVAL": self._invalidate,
         }
@@ -591,8 +574,6 @@ class FastPathEngine:
             env["PMG"] = pagemap.entries.get
             env["PMR"] = pagemap.referenced
             env["PMD"] = pagemap.dirty
-        for op in _OVF_OPS:
-            env[f"OP_{op.name}"] = op
         return env
 
     def _word_template(self, ctx: _Context, pc: int, bits: int):
@@ -701,10 +682,7 @@ class FastPathEngine:
                 commit.append(f"regs[{k(piece.dst.number)}] = {k(u32(piece.value))}")
                 continue
             if isinstance(piece, Alu):
-                lines = self._emit_alu(piece, idx, ovf_enabled, k)
-                if lines is None:
-                    return None
-                pre.extend(lines)
+                pre.extend(self._emit_alu(piece, idx, ovf_enabled, k))
                 commit.append(f"regs[{k(piece.dst.number)}] = _t{idx}")
                 continue
             if isinstance(piece, SetCond):
@@ -804,95 +782,54 @@ class FastPathEngine:
 
     @classmethod
     def _emit_cond(cls, piece, k: _Slots) -> str:
-        """A ``SetCond``/``CompareBranch`` condition as an expression.
+        """A ``SetCond``/``CompareBranch`` condition as an expression,
+        rendered from its :data:`~repro.isa.operations.COMPARISONS` entry.
 
-        Immediates are pre-combined here, so no two literals ever meet in
-        one constant-foldable expression.
+        An immediate's XOR transform is applied here, at emit time, so no
+        two literals ever meet in one constant-foldable expression; with
+        two immediates (or for ``T``/``F``) the outcome is a constant.
         """
         cond, s1, s2 = piece.cond, piece.s1, piece.s2
-        if cond is Comparison.T:
-            return "True"
-        if cond is Comparison.F:
-            return "False"
-        rel = _UNSIGNED_COMPARES.get(cond)
-        if rel is not None:
-            return f"{cls._operand(s1, k)} {rel} {cls._operand(s2, k)}"
-        rel = _SIGNED_COMPARES.get(cond)
-        if rel is not None:
-
-            def biased(op) -> str:
-                if isinstance(op, Imm):
-                    return k(op.value ^ _SIGN)
-                return f"(regs[{k(op.number)}] ^ {_SIGN})"
-
-            return f"{biased(s1)} {rel} {biased(s2)}"
-        invert, rel = _BIT_TESTS[cond]
+        expr, xa, xb = COMPARISONS[cond]
+        if "{a}" not in expr:
+            return expr  # T, F
         if isinstance(s1, Imm) and isinstance(s2, Imm):
-            mask = s2.value ^ _MASK if invert else s2.value
-            return f"{k(s1.value & mask)} {rel} 0"
-        if isinstance(s2, Imm):
-            mask = k(s2.value ^ _MASK if invert else s2.value)
-        elif invert:
-            mask = f"(regs[{k(s2.number)}] ^ {_MASK})"
-        else:
-            mask = f"regs[{k(s2.number)}]"
-        return f"({cls._operand(s1, k)} & {mask}) {rel} 0"
+            return str(compare(cond, s1.value, s2.value))
 
-    def _emit_alu(self, piece: Alu, idx: int, ovf_enabled: bool, k: _Slots) -> Optional[list]:
-        lines = [f"_a{idx} = {self._operand(piece.s1, k)}"]
-        a = f"_a{idx}"
+        def operand(op, xor: int) -> str:
+            if isinstance(op, Imm):
+                return k(op.value ^ xor)
+            reg = f"regs[{k(op.number)}]"
+            return f"({reg} ^ {xor})" if xor else reg
+
+        return expr.format(a=operand(s1, xa), b=operand(s2, xb))
+
+    @classmethod
+    def _emit_alu(cls, piece: Alu, idx: int, ovf_enabled: bool, k: _Slots) -> list:
+        """Lines computing ``_t{idx}``, rendered from the piece's
+        :data:`~repro.isa.operations.ALU_EXPRESSIONS` entry, after a bail
+        on its overflow predicate when overflow traps are on.
+
+        Each operand the entry names is read into a local first, so the
+        entry's literals only ever meet names; an operand it does not
+        name gets no slot.
+        """
         op = piece.op
-        if op is AluOp.MOV:
-            lines.append(f"_t{idx} = {a}")
-            return lines
-        if op is AluOp.NOT:
-            lines.append(f"_t{idx} = {a} ^ 4294967295")
-            return lines
-        if op is AluOp.IC:
-            lines.append("_sh = (CPU.lo & 3) * 8")
-            lines.append(
-                f"_t{idx} = (regs[{k(piece.dst.number)}] & ~(255 << _sh) & 4294967295)"
-                f" | (({a} & 255) << _sh)"
-            )
-            return lines
-        lines.append(f"_b{idx} = {self._operand(piece.s2, k)}")
-        b = f"_b{idx}"
-        if ovf_enabled and op in _OVF_OPS:
-            lines.append(f"if OVF(OP_{op.name}, {a}, {b}): raise _B")
-        if op is AluOp.ADD:
-            expr = f"({a} + {b}) & 4294967295"
-        elif op is AluOp.SUB:
-            expr = f"({a} - {b}) & 4294967295"
-        elif op is AluOp.RSUB:
-            expr = f"({b} - {a}) & 4294967295"
-        elif op is AluOp.AND:
-            expr = f"{a} & {b}"
-        elif op is AluOp.OR:
-            expr = f"{a} | {b}"
-        elif op is AluOp.XOR:
-            expr = f"{a} ^ {b}"
-        elif op is AluOp.SLL:
-            expr = f"({a} << ({b} & 31)) & 4294967295"
-        elif op is AluOp.SRL:
-            expr = f"{a} >> ({b} & 31)"
-        elif op is AluOp.SRA:
-            expr = (
-                f"(({a} - 4294967296) >> ({b} & 31)) & 4294967295"
-                f" if {a} & 2147483648 else {a} >> ({b} & 31)"
-            )
-        elif op is AluOp.XC:
-            expr = f"({b} >> (({a} & 3) * 8)) & 255"
-        elif op is AluOp.MSTEP:
-            expr = f"({a} * 2 + {b}) & 4294967295"
-        elif op is AluOp.DSTEP:
-            lines.append(f"_sh = ({a} << 1) & 4294967295")
-            lines.append(
-                f"_t{idx} = (_sh - {b}) | 1 if _sh >= {b} else _sh & 4294967294"
-            )
-            return lines
-        else:
-            return None
-        lines.append(f"_t{idx} = {expr}")
+        expr = ALU_EXPRESSIONS[op]
+        lines, names = [], {}
+        for name, source in (("a", piece.s1), ("b", piece.s2), ("w", piece.dst)):
+            if "{%s}" % name not in expr:
+                continue
+            if op is AluOp.IC and name == "b":
+                value = "CPU.lo"  # insert byte's selector, not its s2
+            else:
+                value = cls._operand(source, k)
+            names[name] = f"_{name}{idx}"
+            lines.append(f"_{name}{idx} = {value}")
+        overflow = OVERFLOW_EXPRESSIONS.get(op)
+        if ovf_enabled and overflow is not None:
+            lines.append(f"if {overflow.format(**names)}: raise _B")
+        lines.append(f"_t{idx} = {expr.format(**names)}")
         return lines
 
     def _emit_ea(self, ctx: _Context, piece, pre: list, k: _Slots) -> Optional[str]:

@@ -133,6 +133,21 @@ class TestExpressions:
         """
         assert outputs(source) == [56, 84, 700, 217]
 
+    def test_multiply_by_literal_beyond_32_bits(self):
+        # strength reduction works on the register image: 2**32 is 0 and
+        # 2**32 + 3 is 3 (no shift-and-add sequence is empty)
+        source = """
+        program p;
+        var x: integer;
+        begin
+          x := 7;
+          writeln(x * 5);
+          writeln(x * 4294967296);
+          writeln(x * 4294967299)
+        end.
+        """
+        assert outputs(source) == [35, 0, 21]
+
     def test_negative_multiplication(self):
         source = """
         program p;

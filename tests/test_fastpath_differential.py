@@ -14,10 +14,24 @@ from dataclasses import asdict
 
 import pytest
 
+from repro.ccmachine import Alu as CcAlu
+from repro.ccmachine import (
+    CcAluOp,
+    CcImm,
+    CcMachine,
+    CcMachineError,
+    CcReg,
+    Halt,
+    Move,
+    SysWrite,
+    compile_cc_source,
+    resolve,
+)
 from repro.compiler import compile_source
 from repro.fuzz.case import make_case
+from repro.isa.bits import s32
 from repro.isa.encoding import encode
-from repro.isa.operations import AluOp, Comparison
+from repro.isa.operations import AluOp, Comparison, alu_evaluate
 from repro.isa.pieces import (
     Absolute,
     Alu,
@@ -707,3 +721,100 @@ def test_exhaustive_ops_match_reference(family, overflow_traps):
     # including the immediate-only forms the corpus never emits
     checked = _assert_handlers_are_literal_source(engine, every_word=False)
     assert checked == engine.stats.templates
+
+
+# ---------------------------------------------------------------------------
+# the same arithmetic on the CC machine and in the constant folder
+# ---------------------------------------------------------------------------
+
+#: the CC machine's ALU ops and the MIPS op each must compute
+CC_SHARED_OPS = {
+    CcAluOp.ADD: AluOp.ADD,
+    CcAluOp.SUB: AluOp.SUB,
+    CcAluOp.AND: AluOp.AND,
+    CcAluOp.OR: AluOp.OR,
+    CcAluOp.XOR: AluOp.XOR,
+    CcAluOp.SLL: AluOp.SLL,
+    CcAluOp.SRA: AluOp.SRA,
+}
+
+
+def test_cc_alu_matches_mips_ops():
+    """On the ops the two ISAs share, the CC machine computes ``dst op
+    src`` exactly as the MIPS ALU computes ``s1 op s2``."""
+    stream, expected = [], []
+    for cc_op, op in CC_SHARED_OPS.items():
+        for a in PRELOAD:
+            for b in PRELOAD:
+                stream.append((None, Move(CcImm(a), CcReg(0))))
+                stream.append((None, CcAlu(cc_op, CcImm(b), CcReg(0))))
+                stream.append((None, SysWrite(CcReg(0))))
+                expected.append(s32(alu_evaluate(op, a, b)))
+    stream.append((None, Halt()))
+    machine = CcMachine(resolve(stream))
+    machine.run()
+    assert machine.output == expected
+
+
+#: source-level operands: the edge set as signed values, plus literals
+#: beyond the signed range (images -2**31, -1, 0 and -294967296)
+SOURCE_VALUES = tuple(s32(v) for v in EDGES) + (2147483648, 4294967295, 4294967296, 4000000000)
+DIVISION_BY_ZERO = "division by zero"
+
+
+def _lit(value):
+    return f"({value})" if value < 0 else str(value)
+
+
+def _arith_outcomes(body):
+    """The output of ``body`` (or a division by zero) on both engines
+    and on the CC machine."""
+    source = f"program p; var a, b: integer; begin {body} end."
+    program = compile_source(source).program
+    outcomes = []
+    for fast in (True, False):
+        machine = Machine(program)
+        try:
+            machine.run(fast=fast)
+        except TrapInstruction as trap:
+            assert trap.code == 5, trap  # the runtime's division by zero
+            outcomes.append(DIVISION_BY_ZERO)
+        else:
+            outcomes.append(machine.output)
+    cc = CcMachine(compile_cc_source(source))
+    try:
+        cc.run()
+    except CcMachineError as exc:
+        assert str(exc) == DIVISION_BY_ZERO
+        outcomes.append(DIVISION_BY_ZERO)
+    else:
+        outcomes.append(cc.output)
+    return outcomes
+
+
+@pytest.mark.parametrize("op", ("+", "-", "*", "div", "mod"))
+def test_folded_arith_matches_run_time(op):
+    """Each source operator over SOURCE_VALUES gives one result whether
+    it is folded (``L op R``), strength-reduced (``a op R``) or computed
+    through variables (``a op b``), on both engines and on the CC
+    machine -- or, for a divisor whose image is 0, one division by zero."""
+    statements, by_zero = [], []
+    for left in SOURCE_VALUES:
+        for right in SOURCE_VALUES:
+            setup = f"a := {_lit(left)}; b := {_lit(right)}; "
+            forms = (f"{_lit(left)} {op} {_lit(right)}", f"a {op} {_lit(right)}", f"a {op} b")
+            if op in ("div", "mod") and s32(right) == 0:
+                by_zero.extend(setup + f"write({form})" for form in forms)
+            else:
+                statements.append(setup + "; ".join(f"write({form})" for form in forms))
+    fast, precise, cc = _arith_outcomes(";\n".join(statements))
+    assert fast == precise == cc
+    assert len(fast) == 3 * len(statements)
+    disagree = [
+        (statements[i // 3], fast[i : i + 3])
+        for i in range(0, len(fast), 3)
+        if len(set(fast[i : i + 3])) != 1
+    ]
+    assert not disagree, disagree[:5]
+    for body in by_zero:
+        assert _arith_outcomes(body) == [DIVISION_BY_ZERO] * 3, body

@@ -7,16 +7,13 @@ from hypothesis import strategies as st
 from repro.isa.bits import (
     MAX_INT32,
     MIN_INT32,
-    add32,
     fits_signed,
     fits_unsigned,
-    overflows_add,
-    overflows_sub,
     s32,
     sign_extend,
-    sub32,
     u32,
 )
+from repro.isa.operations import AluOp, alu_evaluate, alu_overflows
 
 
 class TestU32S32:
@@ -84,31 +81,31 @@ class TestFits:
 class TestWrappingArithmetic:
     @given(st.integers(), st.integers())
     def test_add32_matches_modular(self, a, b):
-        assert add32(a, b) == (a + b) % (1 << 32)
+        assert alu_evaluate(AluOp.ADD, a, b) == (a + b) % (1 << 32)
 
     @given(st.integers(), st.integers())
     def test_sub32_matches_modular(self, a, b):
-        assert sub32(a, b) == (a - b) % (1 << 32)
+        assert alu_evaluate(AluOp.SUB, a, b) == (a - b) % (1 << 32)
 
 
 class TestOverflow:
     def test_add_overflow_at_max(self):
-        assert overflows_add(MAX_INT32, 1)
+        assert alu_overflows(AluOp.ADD, MAX_INT32, 1)
 
     def test_add_no_overflow(self):
-        assert not overflows_add(MAX_INT32, 0)
-        assert not overflows_add(-5, 3)
+        assert not alu_overflows(AluOp.ADD, MAX_INT32, 0)
+        assert not alu_overflows(AluOp.ADD, -5, 3)
 
     def test_sub_overflow_at_min(self):
-        assert overflows_sub(MIN_INT32, 1)
+        assert alu_overflows(AluOp.SUB, MIN_INT32, 1)
 
     def test_sub_no_overflow(self):
-        assert not overflows_sub(0, MAX_INT32)
+        assert not alu_overflows(AluOp.SUB, 0, MAX_INT32)
 
     @given(st.integers(min_value=MIN_INT32, max_value=MAX_INT32),
            st.integers(min_value=MIN_INT32, max_value=MAX_INT32))
     def test_overflow_iff_result_out_of_range(self, a, b):
-        assert overflows_add(a, b) == not_in_range(a + b)
+        assert alu_overflows(AluOp.ADD, a, b) == not_in_range(a + b)
 
 
 def not_in_range(value: int) -> bool:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.isa.bits import s32, u32
+from repro.isa.bits import MAX_INT32, MIN_INT32, s32, u32
 from repro.isa.operations import (
     NEGATED_COMPARISON,
     SWAPPED_COMPARISON,
@@ -143,3 +143,116 @@ class TestComparisons:
             compare(Comparison.GT, a, b),
         ]
         assert sum(outcomes) == 1
+
+
+# ---------------------------------------------------------------------------
+# the spec: every table entry, through the public evaluators, against plain
+# big-int definitions.  Both engines read the one table in
+# repro.isa.operations, so comparing them with each other cannot catch a
+# wrong entry; these definitions can.
+# ---------------------------------------------------------------------------
+
+EDGES = (0, 1, 15, 16, 255, 2**31 - 1, 2**31, 2**32 - 1)
+#: the edge values plus the shift amounts 31 and 32
+VALUES = EDGES + (31, 32)
+
+
+def _dstep(remainder, divisor):
+    shifted = u32(remainder << 1)
+    if shifted >= divisor:
+        return u32(shifted - divisor) | 1
+    return shifted & ~1 & 0xFFFFFFFF
+
+
+def _insert_byte(selector, source, word):
+    shift = (selector & 3) * 8
+    return (word & ~(0xFF << shift) & 0xFFFFFFFF) | ((source & 0xFF) << shift)
+
+
+def _out_of_range(value):
+    return not MIN_INT32 <= value <= MAX_INT32
+
+
+#: every two-source op on u32 operands
+SPEC_ALU = {
+    AluOp.ADD: lambda a, b: u32(a + b),
+    AluOp.SUB: lambda a, b: u32(a - b),
+    AluOp.RSUB: lambda a, b: u32(b - a),
+    AluOp.AND: lambda a, b: a & b,
+    AluOp.OR: lambda a, b: a | b,
+    AluOp.XOR: lambda a, b: a ^ b,
+    AluOp.SLL: lambda a, b: u32(a << (b & 31)),
+    AluOp.SRL: lambda a, b: a >> (b & 31),
+    AluOp.SRA: lambda a, b: u32(s32(a) >> (b & 31)),
+    AluOp.MOV: lambda a, b: a,
+    AluOp.NOT: lambda a, b: u32(~a),
+    AluOp.XC: lambda a, b: (b >> ((a & 3) * 8)) & 0xFF,
+    AluOp.MSTEP: lambda a, b: u32(a * 2 + b),
+    AluOp.DSTEP: _dstep,
+}
+
+SPEC_OVERFLOW = {
+    AluOp.ADD: lambda a, b: _out_of_range(s32(a) + s32(b)),
+    AluOp.SUB: lambda a, b: _out_of_range(s32(a) - s32(b)),
+    AluOp.RSUB: lambda a, b: _out_of_range(s32(b) - s32(a)),
+}
+
+SPEC_COMPARE = {
+    Comparison.EQ: lambda a, b: a == b,
+    Comparison.NE: lambda a, b: a != b,
+    Comparison.LT: lambda a, b: s32(a) < s32(b),
+    Comparison.LE: lambda a, b: s32(a) <= s32(b),
+    Comparison.GT: lambda a, b: s32(a) > s32(b),
+    Comparison.GE: lambda a, b: s32(a) >= s32(b),
+    Comparison.LO: lambda a, b: a < b,
+    Comparison.LS: lambda a, b: a <= b,
+    Comparison.HI: lambda a, b: a > b,
+    Comparison.HS: lambda a, b: a >= b,
+    Comparison.T: lambda a, b: True,
+    Comparison.F: lambda a, b: False,
+    Comparison.BC: lambda a, b: (a & b) == 0,
+    Comparison.BS: lambda a, b: (a & b) != 0,
+    Comparison.NBC: lambda a, b: (a & u32(~b)) == 0,
+    Comparison.NBS: lambda a, b: (a & u32(~b)) != 0,
+}
+
+
+def _overflow_spec(op):
+    return SPEC_OVERFLOW.get(op, lambda a, b: False)
+
+
+class TestSpec:
+    @pytest.mark.parametrize("op", [op for op in AluOp if op is not AluOp.IC], ids=str)
+    def test_alu_on_edges(self, op):
+        for a in VALUES:
+            for b in VALUES:
+                assert alu_evaluate(op, a, b) == SPEC_ALU[op](a, b), (a, b)
+
+    def test_insert_byte_on_edges(self):
+        for selector in VALUES:
+            for source in VALUES:
+                for word in VALUES:
+                    expected = _insert_byte(selector, source, word)
+                    assert alu_insert_byte(selector, source, word) == expected
+
+    @pytest.mark.parametrize("op", list(AluOp), ids=str)
+    def test_overflow_on_edges(self, op):
+        for a in VALUES:
+            for b in VALUES:
+                assert alu_overflows(op, a, b) == _overflow_spec(op)(a, b), (a, b)
+
+    @pytest.mark.parametrize("cond", list(Comparison), ids=str)
+    def test_compare_on_edges(self, cond):
+        for a in VALUES:
+            for b in VALUES:
+                assert compare(cond, a, b) == SPEC_COMPARE[cond](a, b), (a, b)
+
+    @given(words, words, words)
+    def test_every_entry_on_words(self, a, b, w):
+        for op, spec in SPEC_ALU.items():
+            assert alu_evaluate(op, a, b) == spec(a, b), op
+        assert alu_insert_byte(a, b, w) == _insert_byte(a, b, w)
+        for op in AluOp:
+            assert alu_overflows(op, a, b) == _overflow_spec(op)(a, b), op
+        for cond, spec in SPEC_COMPARE.items():
+            assert compare(cond, a, b) == spec(a, b), cond
