@@ -3,7 +3,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: check lint test perf-gate experiments-check engine-differential fuzz-smoke claims bench
+.PHONY: check lint test perf-gate experiments-check engine-differential fuzz-smoke claims
 
 ## check: everything a push must survive -- lint + tier-1 tests + perf
 ## gate (cycle counts + paper claims) + byte-identical EXPERIMENTS.md
@@ -18,7 +18,7 @@ test:
 ## perf-gate: the blocking deterministic gates -- cycle counts and the
 ## paper claims
 perf-gate:
-	$(PYTHON) tools/bench_report.py cycles
+	$(PYTHON) -m repro.perf cycles
 	$(PYTHON) -m repro.perf claims
 
 ## experiments-check: EXPERIMENTS.md regenerates byte-identical
@@ -44,7 +44,3 @@ fuzz-smoke:
 
 claims:
 	$(PYTHON) -m repro.perf claims
-
-## bench: the noisy wall-clock backstop (nightly in CI)
-bench:
-	$(PYTHON) tools/bench_report.py compare

@@ -8,6 +8,7 @@
 ``mips-experiments``      run the paper's tables and figures (``--jobs N``)
 ``mips-farm``             batch simulation service: ``run`` / ``status``
 ``mips-chaos``            fault-injection campaigns: ``run`` / ``list``
+``mips-prof``             guest profiles and the deterministic gates
 ========================  ===================================================
 """
 
@@ -529,7 +530,8 @@ def chaos_main(argv=None) -> int:
 
 
 def prof_main(argv=None) -> int:
-    """``mips-prof``: deterministic guest profiling and the paper-claims check.
+    """``mips-prof``: deterministic guest profiling and the two blocking gates,
+    the cycle-count gate (``cycles``) and the paper-claims check (``claims``).
 
     Every byte this command prints derives from architectural state, so
     output is identical across engines, across ``--jobs N``, and across
@@ -585,10 +587,19 @@ def prof_main(argv=None) -> int:
     )
     claims_p.add_argument("--jobs", type=int, default=1, metavar="N")
 
+    for name, help_text in (
+        ("cycles", "gate corpus cycle counters against ./PERF_BASELINE.json"),
+        ("update-baseline", "rewrite ./PERF_BASELINE.json from a fresh collection"),
+    ):
+        gate_p = sub.add_parser(name, help=help_text)
+        gate_p.add_argument("--jobs", type=int, default=1, metavar="N")
+
     args = parser.parse_args(argv)
 
     if args.command == "run":
         return _prof_run(args)
+    if args.command in ("cycles", "update-baseline"):
+        return _prof_cycles(args)
 
     from .farm import ResultStore, Scheduler
     from .farm.job import profile_jobs
@@ -625,6 +636,31 @@ def prof_main(argv=None) -> int:
     results = validate(merged)
     print(render_claims(results), end="")
     return 0 if all(result.ok for result in results) else 1
+
+
+def _prof_cycles(args) -> int:
+    import os
+
+    from .perf import baseline as perf_baseline
+
+    path = perf_baseline.BASELINE_FILE
+    if args.command == "cycles" and not os.path.exists(path):
+        print(f"error: no cycle baseline at {os.path.abspath(path)}", file=sys.stderr)
+        return EXIT_USAGE
+    current = perf_baseline.collect_cycles(jobs=args.jobs)
+    if args.command == "update-baseline":
+        perf_baseline.write_baseline(path, current)
+        print(f"wrote {path}")
+        for name, counters in current.items():
+            print(f"  {name}: {counters['cycles']} cycles")
+        return 0
+    for name, counters in current.items():
+        print(f"  {name}: {counters['cycles']} cycles, {counters['load_stalls']} stalls")
+    baseline = perf_baseline.load_baseline(path)
+    threshold = baseline.get("threshold", perf_baseline.DEFAULT_THRESHOLD)
+    regressions = perf_baseline.compare(baseline, current, threshold)
+    print(perf_baseline.render_gate(regressions, threshold), end="")
+    return 1 if regressions else 0
 
 
 def _prof_run(args) -> int:

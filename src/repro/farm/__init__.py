@@ -7,8 +7,9 @@ jobs the hot path would otherwise serialize.
 
 Pieces:
 
-- :class:`~repro.farm.job.Job` -- a pure-data job spec (workload /
-  source / experiment / DMA run) with a stable content key.
+- :class:`~repro.farm.job.Job` -- a pure-data job spec (corpus workload,
+  Pascal source, assembly, experiment, DMA run, chaos probe or fuzz
+  batch) with a stable content key.
 - :class:`~repro.farm.scheduler.Scheduler` -- shards jobs over N
   worker processes with per-job wall deadlines, crash recovery, capped
   exponential backoff, and graceful degradation to in-process serial
@@ -18,8 +19,10 @@ Pieces:
   completion order.
 
 Entry points: ``mips-farm run`` / ``mips-farm status`` on the command
-line, ``mips-experiments --jobs N`` for the paper's evaluation, and
-``tools/bench_report.py --jobs N`` for the benchmark gate.
+line, ``mips-experiments --jobs N`` for the paper's evaluation,
+``mips-fuzz run --jobs N`` for fuzz batches, and ``mips-prof
+cycles|claims|corpus --jobs N`` for the deterministic gates and
+profiles.
 """
 
 from .job import (

@@ -26,7 +26,6 @@ KIND_SOURCE = "source"          # inline mini-Pascal source text
 KIND_ASM = "asm"                # inline assembly source text
 KIND_EXPERIMENT = "experiment"  # one registered table/figure reproduction
 KIND_DMA = "dma"                # free-cycle DMA throughput over one workload
-KIND_BENCH = "bench"            # one pytest-benchmark test, run in isolation
 KIND_CHAOS = "chaos"            # fault-injection probe (tests only)
 KIND_FUZZ = "fuzz"              # differential-oracle fuzz batch
 
@@ -36,7 +35,6 @@ ALL_KINDS = (
     KIND_ASM,
     KIND_EXPERIMENT,
     KIND_DMA,
-    KIND_BENCH,
     KIND_CHAOS,
     KIND_FUZZ,
 )

@@ -253,58 +253,6 @@ def _execute_dma(record: Dict[str, Any], job: Mapping[str, Any]) -> None:
     record["extra"].update(report)
 
 
-def _execute_bench(record: Dict[str, Any], job: Mapping[str, Any]) -> None:
-    """One pytest-benchmark test in a fresh interpreter, stats captured."""
-    import subprocess
-    import sys
-    import tempfile
-
-    spec = job.get("spec", {})
-    cwd = spec.get("cwd") or os.getcwd()
-    env = dict(os.environ)
-    pythonpath = spec.get("pythonpath")
-    if pythonpath:
-        env["PYTHONPATH"] = os.pathsep.join(
-            list(pythonpath) + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-        )
-    with tempfile.TemporaryDirectory() as tmp:
-        raw_path = os.path.join(tmp, "benchmark.json")
-        cmd = [
-            sys.executable,
-            "-m",
-            "pytest",
-            f"{spec['file']}::{job['name']}",
-            "--benchmark-only",
-            "-q",
-            f"--benchmark-json={raw_path}",
-        ]
-        proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
-        if proc.returncode != 0:
-            record["status"] = STATUS_ERROR
-            record["error"] = {
-                "type": "BenchmarkFailed",
-                "message": (proc.stdout + proc.stderr)[-2000:],
-                "returncode": proc.returncode,
-            }
-            return
-        with open(raw_path) as fh:
-            raw = json.load(fh)
-    for entry in raw["benchmarks"]:
-        if entry["name"] == job["name"]:
-            stats = entry["stats"]
-            record["extra"]["bench"] = {
-                "mean_s": stats["mean"],
-                "stddev_s": stats["stddev"],
-                "rounds": stats["rounds"],
-            }
-            return
-    record["status"] = STATUS_ERROR
-    record["error"] = {
-        "type": "BenchmarkMissing",
-        "message": f"pytest produced no stats for {job['name']}",
-    }
-
-
 def _execute_chaos(record: Dict[str, Any], job: Mapping[str, Any], attempt: int, in_process: bool) -> None:
     """Chaos jobs: real injection campaigns, or the legacy failure probe.
 
@@ -406,7 +354,6 @@ _EXECUTORS = {
     "asm": _execute_asm,
     "experiment": _execute_experiment,
     "dma": _execute_dma,
-    "bench": _execute_bench,
     "fuzz": _execute_fuzz,
 }
 

@@ -6,14 +6,12 @@ this module collects (cycles, stalls, flushes, memory traffic) are
 exactly reproducible on any machine at any load.  That turns a
 committed ``PERF_BASELINE.json`` into a *blocking* CI gate: any change
 that grows a gated counter by more than :data:`DEFAULT_THRESHOLD`
-fails, with the worst-offending workload and counter named -- while
-the old wall-clock gate stays as a non-blocking nightly backstop.
+fails, with the worst-offending workload and counter named.
 
-Flow::
+Flow, from the directory that holds ``PERF_BASELINE.json``::
 
-    python tools/bench_report.py cycles            # collect current
-    python tools/bench_report.py cycles --gate PERF_BASELINE.json
-    python tools/bench_report.py update-baseline   # after intended changes
+    mips-prof cycles             # collect current, gate vs the baseline
+    mips-prof update-baseline    # after intended changes; commit the diff
 """
 
 from __future__ import annotations
@@ -29,6 +27,9 @@ from ..workloads.minijava import MINIJAVA_PROGRAMS
 #: MiniJava corpus, so the cycle gate watches both front ends' code
 #: generation (vtable dispatch and heap traffic included)
 GATE_PROGRAMS = tuple(QUICK_PROGRAMS) + tuple(MINIJAVA_PROGRAMS)
+
+#: the committed baseline, read and written in the working directory
+BASELINE_FILE = "PERF_BASELINE.json"
 
 #: relative growth in any gated counter that fails the gate
 DEFAULT_THRESHOLD = 0.02
@@ -151,6 +152,6 @@ def render_gate(regressions: Sequence[Regression], threshold: float = DEFAULT_TH
     lines += [f"  {regression.render()}" for regression in regressions]
     lines.append(
         "if this growth is intended, refresh the baseline with: "
-        "python tools/bench_report.py update-baseline"
+        "mips-prof update-baseline"
     )
     return "\n".join(lines) + "\n"

@@ -146,10 +146,6 @@ def _load_tool(name):
     return module
 
 
-def _load_bench_report():
-    return _load_tool("bench_report")
-
-
 class TestGenerateExperimentsArgs:
     """Bad arguments get a usage error, never a silent full regeneration."""
 
@@ -175,23 +171,6 @@ class TestGenerateExperimentsArgs:
         assert out.startswith("usage: ")
         assert "--jobs N" in out
         assert "# EXPERIMENTS" not in out
-
-
-class TestBenchGateMessage:
-    def test_names_worst_regressor_first(self):
-        bench_report = _load_bench_report()
-        failures = [("test_compiler_throughput", 1.25), ("test_simulator_throughput", 1.80)]
-        message = bench_report.format_gate_failure(failures, threshold=0.20)
-        first_line = message.splitlines()[0]
-        assert "worst regression: test_simulator_throughput" in first_line
-        assert "180%" in first_line
-        assert "test_compiler_throughput (1.25x)" in message
-
-    def test_single_failure_has_no_also_line(self):
-        bench_report = _load_bench_report()
-        message = bench_report.format_gate_failure([("test_kernel_boot_throughput", 1.5)], 0.20)
-        assert "also regressed" not in message
-        assert "test_kernel_boot_throughput" in message
 
 
 FAULTING_ASM = """

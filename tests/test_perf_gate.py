@@ -2,7 +2,7 @@
 
 Includes the two CI-facing acceptance checks: a seeded >2% cycle
 regression is caught and named, and the shipped ``PERF_BASELINE.json``
-passes against a fresh collection.
+passes against a fresh collection through ``mips-prof cycles``.
 """
 
 import json
@@ -10,12 +10,13 @@ import os
 
 import pytest
 
+from repro.cli import prof_main
 from repro.perf import baseline as perf_baseline
 from repro.perf import claims
 from repro.perf.baseline import Regression, compare, render_gate
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-SHIPPED_BASELINE = os.path.join(REPO_ROOT, "PERF_BASELINE.json")
+SHIPPED_BASELINE = os.path.join(REPO_ROOT, perf_baseline.BASELINE_FILE)
 
 
 def _doc(benchmarks):
@@ -61,6 +62,7 @@ class TestCompare:
         message = render_gate(regressions)
         assert "worst offender: calc: cycles 1000 -> 1200 (+20.00%)" in message
         assert "FAIL" in message
+        assert "mips-prof update-baseline" in message
 
     def test_new_workload_ignored(self):
         current = dict(self.BASE["sort"] and {"sort": {"cycles": 10_000, "load_stalls": 100}})
@@ -87,12 +89,24 @@ class TestShippedBaseline:
         for counters in doc["benchmarks"].values():
             assert set(counters) == set(perf_baseline.GATED_COUNTERS)
 
-    def test_fresh_collection_passes_the_shipped_gate(self):
+    def test_fresh_collection_passes_the_shipped_gate(self, monkeypatch, capsys):
         """The acceptance check CI runs: collect now, gate vs committed."""
-        current = perf_baseline.collect_cycles(jobs=1)
-        baseline = perf_baseline.load_baseline(SHIPPED_BASELINE)
-        regressions = compare(baseline, current)
-        assert regressions == [], render_gate(regressions)
+        monkeypatch.chdir(REPO_ROOT)
+        status = prof_main(["cycles"])
+        out = capsys.readouterr().out
+        assert status == 0, out
+        assert "perf gate: ok" in out
+
+    def test_missing_baseline_exits_2_before_collecting(self, tmp_path, monkeypatch, capsys):
+        def no_collection(*args, **kwargs):
+            raise AssertionError("the gate collected without a baseline")
+
+        monkeypatch.setattr(perf_baseline, "collect_cycles", no_collection)
+        monkeypatch.chdir(tmp_path)
+        assert prof_main(["cycles"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: no cycle baseline at {tmp_path / 'PERF_BASELINE.json'}\n"
 
     def test_collection_is_deterministic_across_sharding(self):
         subset = ("sort", "calc", "strings")
@@ -111,6 +125,19 @@ class TestBaselineRoundTrip:
         text = open(path).read()
         assert text.endswith("\n")
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+    def test_update_baseline_then_gate_through_the_cli(self, tmp_path, monkeypatch, capsys):
+        """``update-baseline`` writes the file ``cycles`` then gates against."""
+        counters = {"sort": {"cycles": 10_000, "load_stalls": 100}}
+        monkeypatch.setattr(perf_baseline, "collect_cycles", lambda jobs: counters)
+        monkeypatch.chdir(tmp_path)
+        assert prof_main(["update-baseline", "--jobs", "2"]) == 0
+        assert perf_baseline.load_baseline("PERF_BASELINE.json")["benchmarks"] == counters
+        assert prof_main(["cycles"]) == 0
+        counters["sort"]["cycles"] = 10_300
+        capsys.readouterr()
+        assert prof_main(["cycles"]) == 1
+        assert "worst offender: sort: cycles 10000 -> 10300" in capsys.readouterr().out
 
 
 class TestClaims:

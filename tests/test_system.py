@@ -230,6 +230,44 @@ class TestPageReplacement:
             faults[frames] = kernel.pagemap.stats.faults
         assert faults[12] <= faults[5]
 
+    #: a 6-page array swept twice, for the fault curve.  Not SWEEP:
+    #: clock replacement is not a stack algorithm, and SWEEP takes 36
+    #: faults in 5 frames but 38 in 6
+    CURVE_SWEEP = """
+    program sweep;
+    const n = 1500;
+    var a: array [0..1499] of integer;
+        i, pass, checksum: integer;
+    begin
+      for pass := 1 to 2 do
+        for i := 0 to n - 1 do
+          a[i] := a[i] + pass + i;
+      checksum := 0;
+      for i := 0 to n - 1 do checksum := checksum + a[i];
+      writeln(checksum)
+    end.
+    """
+    CURVE_EXPECTED = sum(2 * (1 + i) + 1 for i in range(1500))
+
+    def test_fault_curve_under_memory_pressure(self):
+        """Section 3.1/3.3: restartable page faults make demand paging
+        possible.  Execution stays correct at every frame-pool size,
+        faults fall as frames grow, replacement runs only under
+        pressure, and under pressure dirty pages are written back."""
+        program = compile_source(self.CURVE_SWEEP).program
+        kernels = {}
+        for frames in (4, 6, 10, 32):
+            kernel = Kernel(max_frames=frames)
+            kernel.add_process(program)
+            kernel.run(300_000_000)
+            assert kernel.output(0) == [self.CURVE_EXPECTED], frames
+            kernels[frames] = kernel
+        faults = [kernel.pagemap.stats.faults for kernel in kernels.values()]
+        assert faults == sorted(faults, reverse=True), faults
+        assert kernels[4].pagemap.stats.victims_suggested > 0
+        assert kernels[32].pagemap.stats.victims_suggested == 0
+        assert kernels[4].disk.writebacks > 0
+
     def test_clock_prefers_unreferenced_pages(self):
         from repro.system import PageMap
 

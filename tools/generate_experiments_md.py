@@ -22,7 +22,8 @@ Every table and figure of *Hardware/Software Tradeoffs for Increased
 Performance* (Hennessy et al., ASPLOS 1982), regenerated by this
 repository and placed next to the paper's published values.  This file
 is produced by `python tools/generate_experiments_md.py`; the same
-numbers are asserted (as shape constraints) by `pytest benchmarks/`.
+numbers are asserted (as shape constraints) by the tier-1 tests in
+`tests/test_experiments.py`.
 
 **Reading guide.** Figures 1-3 and Tables 2, 5, 9 reproduce the paper's
 numbers *exactly* — they are properties of code sequences and cost
@@ -74,20 +75,15 @@ paper's 35% band edge, Table 3 savings <= 2%), and CI runs it on every
 push -- so drifting off the paper's numbers fails the build instead of
 rotting silently.
 
-**Benchmark regression gates.** The paper numbers above are checked
-for *shape*; the reproduction's own speed is checked for *drift*,
-twice.  The blocking gate is deterministic: `tools/bench_report.py
-cycles` re-simulates the quick corpus and compares per-workload
-cycle/stall/memory counters against the committed
-`PERF_BASELINE.json`, failing on any >2% growth with the worst
-workload and counter named (`update-baseline` refreshes it after an
-intended change, and the diff is the reviewable record).
-The wall-clock backstop is nightly: `tools/bench_report.py run`
-snapshots the housekeeping throughput benchmarks (simulator fast path,
-reference stepper, compiler, kernel boot) into a dated
-`BENCH_<date>.json`, and `tools/bench_report.py compare` re-runs them
-against the latest committed snapshot, failing on any >20% mean-time
-regression -- noisy runners flag rather than block.
+**Cycle-count gate.** The paper numbers above are checked for *shape*;
+the reproduction's own cost is checked for *drift*.  The gate is
+deterministic: `mips-prof cycles` re-simulates the quick Pascal and
+MiniJava corpora and compares per-workload cycle/stall/memory counters
+against the committed `PERF_BASELINE.json`, failing on any >2% growth
+with the worst workload and counter named (`mips-prof update-baseline`
+refreshes it after an intended change, and the diff is the reviewable
+record).  Wall-clock speed is measured, not gated: every speed claim
+names a `bench/run.py` command (see `bench/README.md`).
 
 **Execution farm.** Every experiment above runs as one job on
 `repro.farm`, the sharded batch-execution service behind
