@@ -10,8 +10,9 @@ fraction of executed instruction words that used no data-memory cycle
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict
 
+from ..compiler.codegen_mips import CompileOptions
 from ..compiler.driver import compile_source
 from ..reorg.reorganizer import OptLevel
 from ..sim.machine import Machine
@@ -36,55 +37,30 @@ class FreeCycleReport:
 
 
 def measure(
-    sources: Optional[Mapping[str, str]] = None,
     opt_level: OptLevel = OptLevel.BRANCH_DELAY,
     max_steps: int = 30_000_000,
     register_allocation: bool = True,
-    jobs: int = 1,
 ) -> FreeCycleReport:
-    """Free-cycle fractions over the corpus.
+    """Free-cycle fractions over the quick corpus.
 
     Packing *decreases* the free fraction (a packed word uses its
     memory slot more often), so the opt level matters; the default is
     full optimization, the machine the paper measured.  Turning
     ``register_allocation`` off approximates the memory-heavier code of
     the paper's era compiler.
-
-    ``jobs > 1`` shards the per-program simulations across
-    :mod:`repro.farm` worker processes; the aggregate is identical to
-    the serial run (each program's simulation is independent and the
-    farm returns records in submission order).
     """
-    from ..farm import Job, Scheduler
     from ..workloads import CORPUS, QUICK_PROGRAMS
 
-    if sources is None:
-        sources = {name: CORPUS[name] for name in QUICK_PROGRAMS}
-    job_list = [
-        Job(
-            kind="source",
-            name=name,
-            spec={"source": source, "register_allocation": register_allocation},
-            opt_level=opt_level.value,
-            max_steps=max_steps,
-        )
-        for name, source in sources.items()
-    ]
-    records = Scheduler(jobs=jobs).run(job_list)
+    options = CompileOptions(register_allocation=register_allocation)
     per_program: Dict[str, float] = {}
     total_words = 0
     total_free = 0
-    for record in records:
-        if record["status"] != "ok":
-            error = record.get("error") or {}
-            raise RuntimeError(
-                f"free-cycle measurement of {record['name']} failed "
-                f"[{record['status']}] {error.get('type', '')}: {error.get('message', '')}"
-            )
-        stats = record["stats"]
-        words = stats["words"]
-        free = stats["free_memory_cycles"]
-        per_program[record["name"]] = free / words if words else 0.0
+    for name in QUICK_PROGRAMS:
+        machine = Machine(compile_source(CORPUS[name], options, opt_level=opt_level).program)
+        machine.run(max_steps)
+        words = machine.stats.words
+        free = machine.stats.free_memory_cycles
+        per_program[name] = free / words if words else 0.0
         total_words += words
         total_free += free
     return FreeCycleReport(per_program, total_words, total_free)

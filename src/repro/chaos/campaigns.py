@@ -28,7 +28,7 @@ import hashlib
 import json
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..farm.worker import ENGINES, _json_safe, fingerprint_digest
+from ..farm.worker import ENGINES, _base_record, _json_safe, fingerprint_digest
 from .engine import ChaosRun, _collect_outputs, run_plan
 from .invariants import check_panic_record
 from .plan import ChaosPlan, injection, make_plan, plan_rng
@@ -489,30 +489,22 @@ def campaign_record(summary: Mapping[str, Any]) -> Dict[str, Any]:
     """
     engines = summary["engines"]
     first = engines[sorted(engines)[0]]
-    failed = bool(summary["violations"])
-    return {
-        "key": f"chaos-{summary['campaign']}-{summary['seed']}",
-        "kind": "chaos",
-        "name": f"{summary['campaign']}@{summary['seed']}",
-        "status": "error" if failed else "ok",
-        "attempt": 1,
-        "cycles": first["final"]["cycles"],
-        "words": first["final"]["words"],
-        "stats": None,
-        "fingerprint": first["final"]["digest"],
-        "output": [],
-        "output_text": "",
-        "rendered": None,
-        "wall_s": 0.0,
-        "error": (
-            {
-                "type": "InvariantViolation",
-                "message": f"{len(summary['violations'])} recovery-contract violations",
-            }
-            if failed
-            else None
-        ),
-        "retryable": False,
-        "extra": {"chaos": dict(summary)},
-        "payload": None,
-    }
+    record = _base_record(
+        {
+            "key": f"chaos-{summary['campaign']}-{summary['seed']}",
+            "kind": "chaos",
+            "name": f"{summary['campaign']}@{summary['seed']}",
+        },
+        attempt=1,
+    )
+    record["cycles"] = first["final"]["cycles"]
+    record["words"] = first["final"]["words"]
+    record["fingerprint"] = first["final"]["digest"]
+    record["extra"]["chaos"] = dict(summary)
+    if summary["violations"]:
+        record["status"] = "error"
+        record["error"] = {
+            "type": "InvariantViolation",
+            "message": f"{len(summary['violations'])} recovery-contract violations",
+        }
+    return record

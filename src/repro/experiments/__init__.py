@@ -51,7 +51,6 @@ def run_named(
     names: Sequence[str],
     jobs: int = 1,
     store=None,
-    scheduler=None,
 ) -> List[ExperimentResult]:
     """Run the named experiments through the farm, in the given order.
 
@@ -65,9 +64,7 @@ def run_named(
     unknown = [name for name in names if name not in REGISTRY]
     if unknown:
         raise KeyError(f"unknown experiments: {', '.join(unknown)}")
-    if scheduler is None:
-        scheduler = Scheduler(jobs=jobs, store=store)
-    records = scheduler.run(experiment_jobs(names))
+    records = Scheduler(jobs=jobs, store=store).run(experiment_jobs(names))
     results: List[ExperimentResult] = []
     for record in records:
         payload = record.get("payload")

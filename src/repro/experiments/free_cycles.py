@@ -12,10 +12,9 @@ from ..reorg.reorganizer import OptLevel
 from .base import ExperimentResult
 
 
-def free_cycles(jobs: int = 1) -> ExperimentResult:
-    """``jobs > 1`` shards the two corpus sweeps over farm workers."""
-    optimized = measure(opt_level=OptLevel.BRANCH_DELAY, jobs=jobs)
-    no_regalloc = measure(opt_level=OptLevel.BRANCH_DELAY, register_allocation=False, jobs=jobs)
+def free_cycles() -> ExperimentResult:
+    optimized = measure(opt_level=OptLevel.BRANCH_DELAY)
+    no_regalloc = measure(opt_level=OptLevel.BRANCH_DELAY, register_allocation=False)
     from ..workloads import CORPUS
 
     dma = dma_throughput(CORPUS["wordcount"])

@@ -7,13 +7,13 @@ jobs the hot path would otherwise serialize.
 
 Pieces:
 
-- :class:`~repro.farm.job.Job` -- a pure-data job spec (corpus workload,
-  Pascal source, assembly, experiment, DMA run, chaos probe or fuzz
-  batch) with a stable content key.
+- :class:`~repro.farm.job.Job` -- a pure-data job spec (corpus
+  workload, experiment or fuzz batch) with a stable content key.
 - :class:`~repro.farm.scheduler.Scheduler` -- shards jobs over N
-  worker processes with per-job wall deadlines, crash recovery, capped
-  exponential backoff, and graceful degradation to in-process serial
-  execution when the pool is unavailable.
+  worker processes with one wall deadline and attempt cap for every
+  job, crash recovery, capped exponential backoff, and graceful
+  degradation to in-process serial execution when the pool is
+  unavailable.
 - :class:`~repro.farm.store.ResultStore` -- streams JSON-lines result
   records and aggregates them deterministically regardless of
   completion order.
@@ -35,23 +35,20 @@ from .scheduler import (
     DEFAULT_TIMEOUT_S,
     FarmReport,
     Scheduler,
-    run_jobs,
 )
 from .store import ResultStore, aggregate, render_summary
-from .worker import JobResult, execute_job
+from .worker import execute_job
 
 __all__ = [
     "DEFAULT_MAX_ATTEMPTS",
     "DEFAULT_TIMEOUT_S",
     "FarmReport",
     "Job",
-    "JobResult",
     "ResultStore",
     "Scheduler",
     "aggregate",
     "execute_job",
     "experiment_jobs",
     "render_summary",
-    "run_jobs",
     "workload_jobs",
 ]

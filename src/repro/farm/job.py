@@ -1,16 +1,16 @@
 """Job specifications for the simulation farm.
 
 A :class:`Job` names one unit of batch work -- a corpus workload to
-simulate, a raw source program, one of the paper's experiments, a DMA
-throughput run -- together with everything needed to execute it
-reproducibly: hazard mode, optimization level, step budget, input
-queue.  Jobs are pure data (no live objects), so they cross process
-boundaries cheaply and two structurally-equal jobs hash to the same
-**stable key**, which is what deduplication and the aggregate digest
-key on.
+simulate, one of the paper's experiments, a fuzz batch -- together
+with everything needed to execute it reproducibly: hazard mode,
+optimization level, step budget, input queue.  Jobs are pure data (no
+live objects), so they cross process boundaries cheaply and two
+structurally-equal jobs hash to the same **stable key**, which is what
+deduplication and the aggregate digest key on.
 
-The farm never mutates a job; per-attempt state (attempt counter,
-backoff deadline) lives in the scheduler.
+The farm never mutates a job.  The wall-clock budget and attempt cap
+belong to the scheduler, and per-attempt state (attempt counter,
+backoff deadline) lives there too.
 """
 
 from __future__ import annotations
@@ -22,22 +22,10 @@ from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 #: job kinds the worker knows how to execute (see repro.farm.worker)
 KIND_WORKLOAD = "workload"      # corpus program by name, compiled and simulated
-KIND_SOURCE = "source"          # inline mini-Pascal source text
-KIND_ASM = "asm"                # inline assembly source text
 KIND_EXPERIMENT = "experiment"  # one registered table/figure reproduction
-KIND_DMA = "dma"                # free-cycle DMA throughput over one workload
-KIND_CHAOS = "chaos"            # fault-injection probe (tests only)
 KIND_FUZZ = "fuzz"              # differential-oracle fuzz batch
 
-ALL_KINDS = (
-    KIND_WORKLOAD,
-    KIND_SOURCE,
-    KIND_ASM,
-    KIND_EXPERIMENT,
-    KIND_DMA,
-    KIND_CHAOS,
-    KIND_FUZZ,
-)
+ALL_KINDS = (KIND_WORKLOAD, KIND_EXPERIMENT, KIND_FUZZ)
 
 
 def _canonical(value: Any) -> Any:
@@ -53,9 +41,9 @@ def _canonical(value: Any) -> Any:
 class Job:
     """One schedulable unit of simulation work.
 
-    ``spec`` carries kind-specific parameters (source text, register
-    allocation flag, DMA transfer length, ...); everything else is the
-    common execution envelope.
+    ``spec`` carries kind-specific parameters (register allocation
+    flag, engine, profile request, fuzz range, ...); everything else is
+    the common execution envelope.
     """
 
     kind: str
@@ -65,10 +53,6 @@ class Job:
     opt_level: str = "branch-delay"
     max_steps: int = 30_000_000
     inputs: Tuple[int, ...] = ()
-    #: wall-clock budget; None means the scheduler default applies
-    timeout_s: Optional[float] = None
-    #: attempt cap; None means the scheduler default applies
-    max_attempts: Optional[int] = None
 
     def __post_init__(self):
         if self.kind not in ALL_KINDS:
@@ -78,12 +62,7 @@ class Job:
 
     @property
     def key(self) -> str:
-        """A stable digest of everything that determines the result.
-
-        Wall-clock knobs (timeout, attempt cap) are excluded: they
-        bound *how long* we wait, not *what* the job computes, so a job
-        keeps its key when the operator retunes the farm.
-        """
+        """A stable digest of everything that determines the result."""
         payload = json.dumps(
             {
                 "kind": self.kind,
@@ -109,24 +88,8 @@ class Job:
             "opt_level": self.opt_level,
             "max_steps": self.max_steps,
             "inputs": list(self.inputs),
-            "timeout_s": self.timeout_s,
-            "max_attempts": self.max_attempts,
             "key": self.key,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Job":
-        return cls(
-            kind=data["kind"],
-            name=data["name"],
-            spec=dict(data.get("spec", {})),
-            hazard_mode=data.get("hazard_mode", "bare"),
-            opt_level=data.get("opt_level", "branch-delay"),
-            max_steps=data.get("max_steps", 30_000_000),
-            inputs=tuple(data.get("inputs", ())),
-            timeout_s=data.get("timeout_s"),
-            max_attempts=data.get("max_attempts"),
-        )
 
 
 def _engine_spec(engine: str) -> Dict[str, Any]:
@@ -232,25 +195,4 @@ def fuzz_jobs(
             max_steps=max_steps,
         )
         for r in batch_ranges(cases, batch)
-    )
-
-
-def chaos_jobs(
-    campaigns: Sequence[str],
-    seed: int,
-    engines: Sequence[str] = ("fast", "precise"),
-) -> Tuple[Job, ...]:
-    """One fault-injection campaign job per named campaign.
-
-    The seed is part of the spec (and therefore the job key), so a
-    failing campaign is content-addressed by exactly the plan that
-    failed and replays with ``mips-chaos run --seed N --campaign X``.
-    """
-    return tuple(
-        Job(
-            kind=KIND_CHAOS,
-            name=f"chaos-{name}",
-            spec={"campaign": name, "seed": seed, "engines": list(engines)},
-        )
-        for name in campaigns
     )

@@ -7,24 +7,24 @@ Design (one supervisor, N persistent workers):
   send the record back.  Workers are *sharded* -- the supervisor hands
   the next pending job to the first idle worker, so fast jobs drain
   quickly and one slow shard cannot starve the rest.
-- Every dispatch carries a wall-clock **deadline**.  A worker that
-  blows it is killed and respawned; the job is retried (the hang may be
-  load noise) until its attempt cap, then recorded as a timeout.  The
-  in-machine ``max_steps`` guard -- the same one ``mips-sim
-  --max-steps`` exposes -- bounds runaway *guest* programs from the
-  inside, so the wall deadline only has to catch pathological host
-  behaviour.
+- Every dispatch carries the scheduler's wall-clock **deadline**.  A
+  worker that blows it is killed and respawned; the job is retried (the
+  hang may be load noise) until the attempt cap, then recorded as a
+  timeout.  The in-machine ``max_steps`` guard -- the same one
+  ``mips-sim --max-steps`` exposes -- bounds runaway *guest* programs
+  from the inside, so the wall deadline only has to catch pathological
+  host behaviour.
 - A worker that **crashes** (non-zero exit, killed, pipe EOF) loses
   only its in-flight job: the supervisor records the crash, respawns
   the worker, and retries the job with capped exponential backoff.
   An idle worker found dead when handed its next job is a crash too,
   but that job never reached it, so it is re-queued without spending
   an attempt.
-- When the pool is unavailable -- ``--jobs 1``, a sandbox that forbids
-  forking, or ``REPRO_FARM_SERIAL=1`` -- the scheduler **degrades to
-  in-process serial execution** over the identical
-  :func:`~repro.farm.worker.execute_job` path, so results are the same
-  bytes either way.
+- ``--jobs 1`` runs every job once, in-process, over the identical
+  :func:`~repro.farm.worker.execute_job` path.  When the pool is
+  unavailable (a sandbox that forbids forking), the scheduler
+  **degrades** to that serial path for the jobs the pool did not
+  finish, so results are the same bytes either way.
 
 Results are returned in *submission order* regardless of completion
 order; completion-order streaming happens through the optional
@@ -35,7 +35,6 @@ order-independent.
 from __future__ import annotations
 
 import multiprocessing
-import os
 import sys
 import time
 from collections import deque
@@ -49,11 +48,13 @@ from .worker import crash_record, execute_job, strip_payload, wall_timeout_recor
 DEFAULT_TIMEOUT_S = 600.0
 #: default attempt cap (first try + retries)
 DEFAULT_MAX_ATTEMPTS = 3
-#: exponential backoff: base * 2**(attempt-1), capped
-DEFAULT_BACKOFF_BASE_S = 0.25
-DEFAULT_BACKOFF_CAP_S = 4.0
+#: exponential backoff before a retry: base * 2**(attempt-1), capped
+BACKOFF_BASE_S = 0.25
+BACKOFF_CAP_S = 4.0
 
-_ENV_FORCE_SERIAL = "REPRO_FARM_SERIAL"
+
+def _backoff(attempt: int) -> float:
+    return min(BACKOFF_BASE_S * (2 ** (attempt - 1)), BACKOFF_CAP_S)
 
 
 def _pick_context():
@@ -74,7 +75,7 @@ def _worker_main(conn) -> None:  # pragma: no cover - runs in child processes
         if message[0] == "stop":
             return
         _tag, index, attempt, job_dict = message
-        record = execute_job(job_dict, attempt=attempt, in_process=False)
+        record = execute_job(job_dict, attempt=attempt)
         try:
             conn.send((index, attempt, record))
         except (BrokenPipeError, OSError):
@@ -134,29 +135,25 @@ class FarmReport:
 
 
 class Scheduler:
-    """Batch executor over a pool of worker processes."""
+    """Batch executor over a pool of worker processes.
+
+    ``jobs == 1`` runs in-process; ``timeout_s`` and ``max_attempts``
+    bound every pooled job's wall time and attempts.
+    """
 
     def __init__(
         self,
         jobs: int = 1,
         timeout_s: float = DEFAULT_TIMEOUT_S,
         max_attempts: int = DEFAULT_MAX_ATTEMPTS,
-        backoff_base_s: float = DEFAULT_BACKOFF_BASE_S,
-        backoff_cap_s: float = DEFAULT_BACKOFF_CAP_S,
         store=None,
-        serial: Optional[bool] = None,
     ):
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = jobs
         self.timeout_s = timeout_s
         self.max_attempts = max(1, max_attempts)
-        self.backoff_base_s = backoff_base_s
-        self.backoff_cap_s = backoff_cap_s
         self.store = store
-        if serial is None:
-            serial = jobs <= 1 or bool(os.environ.get(_ENV_FORCE_SERIAL))
-        self.serial = serial
         self._ctx = None
 
     # -- public API --------------------------------------------------------
@@ -174,9 +171,9 @@ class Scheduler:
             return report
         results: Dict[int, Dict[str, Any]] = {}
         items = list(enumerate(jobs))
-        if self.serial:
+        if self.jobs == 1:
             report.degraded_serial = True
-            self._run_serial(items, results, report)
+            self._run_serial(items, results)
         else:
             try:
                 self._run_pool(items, results, report)
@@ -190,21 +187,12 @@ class Scheduler:
                 )
                 report.degraded_serial = True
                 unfinished = [(i, job) for i, job in items if i not in results]
-                self._run_serial(unfinished, results, report)
+                self._run_serial(unfinished, results)
         report.records = [results[i] for i in range(len(jobs))]
         report.wall_s = time.monotonic() - started
         return report
 
     # -- shared plumbing ---------------------------------------------------
-
-    def _budget(self, job: Job) -> float:
-        return job.timeout_s if job.timeout_s is not None else self.timeout_s
-
-    def _attempt_cap(self, job: Job) -> int:
-        return job.max_attempts if job.max_attempts is not None else self.max_attempts
-
-    def _backoff(self, attempt: int) -> float:
-        return min(self.backoff_base_s * (2 ** (attempt - 1)), self.backoff_cap_s)
 
     def _finalize(self, results: Dict[int, Dict[str, Any]], pending: _Pending, record) -> None:
         record = strip_payload(record) if record.get("payload") is None else dict(record)
@@ -221,20 +209,11 @@ class Scheduler:
         self,
         items: Sequence[Tuple[int, Job]],
         results: Dict[int, Dict[str, Any]],
-        report: FarmReport,
     ) -> None:
+        # in-process execution never yields a retryable record: only the
+        # pool's crash and wall-timeout records are retryable
         for index, job in items:
-            pending = _Pending(index, job)
-            cap = self._attempt_cap(job)
-            while True:
-                record = execute_job(job.to_dict(), attempt=pending.attempt, in_process=True)
-                if record.get("retryable") and pending.attempt < cap:
-                    report.retries += 1
-                    time.sleep(self._backoff(pending.attempt))
-                    pending.attempt += 1
-                    continue
-                self._finalize(results, pending, record)
-                break
+            self._finalize(results, _Pending(index, job), execute_job(job.to_dict()))
 
     # -- the pool ----------------------------------------------------------
 
@@ -260,10 +239,9 @@ class Scheduler:
         busy: List[_WorkerHandle] = []
 
         def requeue_or_finalize(pending_job: _Pending, record) -> None:
-            cap = self._attempt_cap(pending_job.job)
-            if record.get("retryable") and pending_job.attempt < cap:
+            if record.get("retryable") and pending_job.attempt < self.max_attempts:
                 report.retries += 1
-                delay = self._backoff(pending_job.attempt)
+                delay = _backoff(pending_job.attempt)
                 pending.append(
                     _Pending(
                         pending_job.index,
@@ -298,7 +276,7 @@ class Scheduler:
                     ready.pop(0)
                     pending.remove(item)
                     worker.current = item
-                    worker.deadline = now + self._budget(item.job)
+                    worker.deadline = now + self.timeout_s
                     busy.append(worker)
 
                 if not busy:
@@ -343,9 +321,7 @@ class Scheduler:
                     busy.remove(worker)
                     requeue_or_finalize(
                         item,
-                        wall_timeout_record(
-                            item.job.to_dict(), item.attempt, self._budget(item.job)
-                        ),
+                        wall_timeout_record(item.job.to_dict(), item.attempt, self.timeout_s),
                     )
         finally:
             for worker in idle:
@@ -358,13 +334,3 @@ class Scheduler:
             for worker in idle + busy:
                 if worker.process.is_alive():  # pragma: no cover
                     worker.process.join(1.0)
-
-
-def run_jobs(
-    job_list: Sequence[Job],
-    jobs: int = 1,
-    store=None,
-    **kwargs,
-) -> List[Dict[str, Any]]:
-    """One-shot convenience: schedule ``job_list`` over ``jobs`` workers."""
-    return Scheduler(jobs=jobs, store=store, **kwargs).run(job_list)

@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping
 
 #: statuses a record can carry
 STATUS_OK = "ok"
@@ -166,16 +165,12 @@ def _compile_workload(job: Mapping[str, Any]):
         register_allocation=spec.get("register_allocation", True),
     )
     opt_level = OptLevel(job.get("opt_level", "branch-delay"))
-    if job["kind"] == "workload":
-        # Named workloads dispatch by registry: the MiniJava corpus is
-        # disjoint from the mini-Pascal one, so names stay unambiguous
-        # and existing job keys are unchanged.
-        if job["name"] in MINIJAVA_CORPUS:
-            return compile_minijava(MINIJAVA_CORPUS[job["name"]], options, opt_level)
-        source = CORPUS[job["name"]]
-    else:
-        source = spec["source"]
-    return compile_source(source, options, opt_level=opt_level)
+    # Named workloads dispatch by registry: the MiniJava corpus is
+    # disjoint from the mini-Pascal one, so names stay unambiguous and
+    # existing job keys are unchanged.
+    if job["name"] in MINIJAVA_CORPUS:
+        return compile_minijava(MINIJAVA_CORPUS[job["name"]], options, opt_level)
+    return compile_source(CORPUS[job["name"]], options, opt_level=opt_level)
 
 
 def _attach_profiler(job: Mapping[str, Any], machine):
@@ -214,21 +209,6 @@ def _execute_simulation(record: Dict[str, Any], job: Mapping[str, Any]) -> None:
     _export_profile(record, job, machine, compiled.program)
 
 
-def _execute_asm(record: Dict[str, Any], job: Mapping[str, Any]) -> None:
-    from ..asm.assembler import assemble
-
-    spec = job.get("spec", {})
-    program = assemble(spec["source"])
-    machine = _build_machine(job, program)
-    if spec.get("mapped"):
-        # drive the on-chip segmentation unit: references between the
-        # two valid regions now raise PageFault (the page-map fault path)
-        machine.cpu.surprise.mapping_enabled = True
-    _attach_profiler(job, machine)
-    _run_machine(record, machine, job.get("max_steps", 30_000_000), spec.get("engine", "fast"))
-    _export_profile(record, job, machine, program)
-
-
 def _execute_experiment(record: Dict[str, Any], job: Mapping[str, Any]) -> None:
     from ..experiments import REGISTRY
 
@@ -240,70 +220,6 @@ def _execute_experiment(record: Dict[str, Any], job: Mapping[str, Any]) -> None:
     record["extra"]["experiment_id"] = result.experiment_id
     record["extra"]["title"] = result.title
     record["payload"] = result
-
-
-def _execute_dma(record: Dict[str, Any], job: Mapping[str, Any]) -> None:
-    from ..analysis.freecycles import dma_throughput
-    from ..workloads import CORPUS
-
-    spec = job.get("spec", {})
-    source = spec.get("source") or CORPUS[job["name"]]
-    report = dma_throughput(source, transfer_words=spec.get("transfer_words", 4096))
-    record["words"] = int(report["instruction_words"])
-    record["extra"].update(report)
-
-
-def _execute_chaos(record: Dict[str, Any], job: Mapping[str, Any], attempt: int, in_process: bool) -> None:
-    """Chaos jobs: real injection campaigns, or the legacy failure probe.
-
-    A spec with a ``campaign`` key runs a seeded fault-injection
-    campaign (:mod:`repro.chaos`) and records its summary; the original
-    probe form (``fail_attempts``/``mode``) deliberately misbehaves for
-    the first N attempts to exercise the scheduler's retry machinery.
-    """
-    spec = job.get("spec", {})
-    if "campaign" in spec:
-        from ..chaos import run_campaign
-
-        engines = tuple(spec.get("engines", ("fast", "precise")))
-        summary = run_campaign(spec["campaign"], seed=int(spec.get("seed", 0)), engines=engines)
-        first = summary["engines"][sorted(summary["engines"])[0]]
-        record["cycles"] = first["final"]["cycles"]
-        record["words"] = first["final"]["words"]
-        record["fingerprint"] = first["final"]["digest"]
-        record["extra"]["chaos"] = {
-            "campaign": summary["campaign"],
-            "seed": summary["seed"],
-            "injections": len(summary["plan"]["injections"]),
-            "outcome": first["outcome"],
-            "violations": summary["violations"],
-            "digest": summary["digest"],
-        }
-        if summary["violations"]:
-            record["status"] = STATUS_ERROR
-            record["error"] = {
-                "type": "InvariantViolation",
-                "message": (
-                    f"{len(summary['violations'])} recovery-contract violations "
-                    f"(replay: mips-chaos run --seed {summary['seed']} "
-                    f"--campaign {summary['campaign']})"
-                ),
-            }
-        return
-    fail_attempts = int(spec.get("fail_attempts", 0))
-    mode = spec.get("mode", "crash")
-    if attempt <= fail_attempts:
-        if mode == "crash":
-            if in_process:
-                raise RuntimeError("chaos crash requested in-process")
-            os._exit(17)
-        if mode == "hang":
-            time.sleep(float(spec.get("hang_s", 3600.0)))
-        record["status"] = STATUS_ERROR
-        record["error"] = {"type": "ChaosError", "message": f"injected failure #{attempt}"}
-        record["retryable"] = True
-        return
-    record["extra"]["succeeded_on_attempt"] = attempt
 
 
 def _execute_fuzz(record: Dict[str, Any], job: Mapping[str, Any]) -> None:
@@ -350,32 +266,21 @@ def _execute_fuzz(record: Dict[str, Any], job: Mapping[str, Any]) -> None:
 
 _EXECUTORS = {
     "workload": _execute_simulation,
-    "source": _execute_simulation,
-    "asm": _execute_asm,
     "experiment": _execute_experiment,
-    "dma": _execute_dma,
     "fuzz": _execute_fuzz,
 }
 
 
-def execute_job(
-    job: Mapping[str, Any], attempt: int = 1, in_process: bool = False
-) -> Dict[str, Any]:
+def execute_job(job: Mapping[str, Any], attempt: int = 1) -> Dict[str, Any]:
     """Execute one job; always returns a record, never raises.
 
-    ``attempt`` is 1-based and threaded through so chaos jobs (and any
-    future attempt-aware consumer) can observe the retry history;
-    ``in_process`` is True on the scheduler's serial fallback path,
-    where deliberately crashing the interpreter would take the whole
-    farm down.
+    ``attempt`` is 1-based; the record carries it so a retried job's
+    history is visible.
     """
     record = _base_record(job, attempt)
     started = time.perf_counter()
     try:
-        if job["kind"] == "chaos":
-            _execute_chaos(record, job, attempt, in_process)
-        else:
-            _EXECUTORS[job["kind"]](record, job)
+        _EXECUTORS[job["kind"]](record, job)
     except Exception as exc:  # toolchain/harness errors become records
         record["status"] = STATUS_ERROR
         record["error"] = _error_info(exc)
@@ -383,32 +288,12 @@ def execute_job(
     return record
 
 
-def _note_chaos_replay(record: Dict[str, Any], job: Mapping[str, Any], attempt: int) -> None:
-    """Make a dead chaos job replayable: pin the seed and attempt count.
-
-    A worker that dies mid-campaign leaves no result, so the failure
-    record itself must carry everything needed to reproduce the run
-    (``mips-chaos run --seed N --campaign X``) and how many attempts
-    were burned getting there.
-    """
-    record["error"]["attempt"] = attempt
-    spec = job.get("spec", {})
-    if job.get("kind") == "chaos" and "campaign" in spec:
-        record["extra"]["chaos_seed"] = spec.get("seed", 0)
-        record["extra"]["campaign"] = spec["campaign"]
-        record["error"]["message"] += (
-            f" (chaos attempt {attempt}; replay: mips-chaos run "
-            f"--seed {spec.get('seed', 0)} --campaign {spec['campaign']})"
-        )
-
-
 def crash_record(job: Mapping[str, Any], attempt: int, detail: str) -> Dict[str, Any]:
     """The scheduler-side record for a worker that died mid-job."""
     record = _base_record(job, attempt)
     record["status"] = STATUS_CRASH
-    record["error"] = {"type": "WorkerCrash", "message": detail}
+    record["error"] = {"type": "WorkerCrash", "message": detail, "attempt": attempt}
     record["retryable"] = True
-    _note_chaos_replay(record, job, attempt)
     return record
 
 
@@ -419,9 +304,9 @@ def wall_timeout_record(job: Mapping[str, Any], attempt: int, budget_s: float) -
     record["error"] = {
         "type": "WallTimeout",
         "message": f"job exceeded its {budget_s:.1f}s wall-clock budget",
+        "attempt": attempt,
     }
     record["retryable"] = True
-    _note_chaos_replay(record, job, attempt)
     return record
 
 
@@ -436,29 +321,3 @@ def json_safe_record(record: Mapping[str, Any]) -> Dict[str, Any]:
     """The record as it appears on a JSON-lines stream."""
     slim = {k: v for k, v in record.items() if k != "payload"}
     return _json_safe(slim)
-
-
-#: consumers sometimes want a typed view; keep it lightweight
-class JobResult:
-    """Attribute access over a result record dict."""
-
-    __slots__ = ("record",)
-
-    def __init__(self, record: Mapping[str, Any]):
-        self.record = dict(record)
-
-    def __getattr__(self, item: str) -> Any:
-        try:
-            return self.record[item]
-        except KeyError as exc:  # pragma: no cover - programming error
-            raise AttributeError(item) from exc
-
-    @property
-    def ok(self) -> bool:
-        return self.record["status"] == STATUS_OK
-
-    def __repr__(self) -> str:
-        return (
-            f"<JobResult {self.record['name']} {self.record['status']} "
-            f"cycles={self.record['cycles']} attempt={self.record['attempt']}>"
-        )

@@ -31,9 +31,8 @@ from .case import (
 from .minimize import minimize_case
 from .oracle import (
     CheckResult,
-    check_ast_source,
     check_case,
-    check_minijava_source,
+    check_source,
     check_word_source,
 )
 
@@ -50,8 +49,7 @@ __all__ = [
     "make_case",
     "minimize_case",
     "CheckResult",
-    "check_ast_source",
     "check_case",
-    "check_minijava_source",
+    "check_source",
     "check_word_source",
 ]

@@ -3,8 +3,8 @@
 A divergence is only as good as its reproduction.  For every failing
 case the harness writes two files into the artifact directory:
 
-- ``<name>.pas`` / ``<name>.s`` -- the minimized program, runnable on
-  its own through the normal toolchain;
+- ``<name>.pas`` / ``<name>.java`` / ``<name>.s`` -- the minimized
+  program, runnable on its own through the normal toolchain;
 - ``<name>.json`` -- the structured crash record: generator seed, case
   index, mode, the divergences observed, the shrink ratio, and a
   one-line replay command.
@@ -23,7 +23,7 @@ from typing import Any, Dict, Optional
 
 from .case import FuzzCase
 
-SOURCE_SUFFIX = {"ast": ".pas", "words": ".s"}
+SOURCE_SUFFIX = {"ast": ".pas", "minijava": ".java", "words": ".s"}
 
 
 def dump_artifact(

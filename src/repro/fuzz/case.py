@@ -28,7 +28,7 @@ class FuzzCase:
 
     seed: int
     index: int
-    mode: str          # MODE_AST or MODE_WORDS (never MODE_BOTH)
+    mode: str          # MODE_AST, MODE_WORDS or MODE_MINIJAVA (never MODE_BOTH)
     source: str
     units: List        # shrinkable units (statements or WordUnits)
     render: Callable[[Sequence], str]  # units prefix -> complete source

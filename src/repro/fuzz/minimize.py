@@ -1,14 +1,14 @@
 """Shrinking failing fuzz cases to minimal repro programs.
 
-Both generators emit their programs as a list of self-contained units
-(top-level statements for mini-Pascal, atomic line groups for
-instruction streams), so minimization is the shared
-shortest-failing-prefix bisection from :mod:`repro.shrink`: re-render
-the unit prefix (the fixed epilogue rides along), re-run the oracle,
-keep the shortest prefix that still diverges.  Every probe is a full
-oracle run, so a minimized case is *known* to still fail -- the
-artifact a human gets is the smallest program this machinery can vouch
-for.
+Every generator emits its program as a list of self-contained units
+(top-level statements for mini-Pascal, main-body statements for
+MiniJava, atomic line groups for instruction streams), so minimization
+is the shared shortest-failing-prefix bisection from
+:mod:`repro.shrink`: re-render the unit prefix (the fixed epilogue
+rides along), re-run the mode's oracle, keep the shortest prefix that
+still diverges.  Every probe is a full oracle run, so a minimized case
+is *known* to still fail -- the artifact a human gets is the smallest
+program this machinery can vouch for.
 """
 
 from __future__ import annotations
@@ -17,15 +17,13 @@ from typing import Any, Dict, Optional, Sequence
 
 from ..shrink import shortest_failing_prefix_items
 from .case import FuzzCase
-from .oracle import CheckResult, check_ast_source, check_word_source
+from .oracle import CheckResult, check_source
 
 
 def _check_source(case: FuzzCase, source: str, max_steps: int) -> CheckResult:
-    if case.mode == "ast":
-        return check_ast_source(
-            source, seed=case.seed, index=case.index, max_steps=max_steps
-        )
-    return check_word_source(source, max_steps=min(max_steps, 200_000))
+    return check_source(
+        case.mode, source, seed=case.seed, index=case.index, max_steps=max_steps
+    )
 
 
 def minimize_case(

@@ -12,7 +12,8 @@ paper's CC-elimination argument, checked program by program.  A sampled
 subset of cases additionally runs under a seeded chaos fault schedule
 on both fast and precise engines with the
 :class:`~repro.chaos.invariants.RecoveryContractChecker` armed: final
-digests must agree and the recovery contract must hold.
+digests must agree and the recovery contract must hold.  A MiniJava
+case runs the same legs except the CC baseline.
 
 For an instruction-stream case the oracle assembles the source once
 and runs both engines.  Guest faults and step-budget timeouts are
@@ -190,25 +191,42 @@ def _check_chaos(
     result.chaos_checked = True
 
 
-def check_ast_source(
-    source: str,
-    *,
-    seed: int = 0,
-    index: int = 0,
-    max_steps: int = 2_000_000,
-    chaos: bool = False,
-) -> CheckResult:
-    """The full oracle for one mini-Pascal source text."""
-    from ..ccmachine import CcCompileError, CcMachine, compile_cc_source
-    from ..compiler.driver import compile_source
+def _compile(mode: str, source: str, level: str):
     from ..reorg.reorganizer import OptLevel
 
-    result = CheckResult(mode="ast")
+    if mode == "ast":
+        from ..compiler.driver import compile_source
+
+        return compile_source(source, opt_level=OptLevel(level))
+    from ..mjlang import compile_minijava
+
+    return compile_minijava(source, opt_level=OptLevel(level))
+
+
+def _check_compiled_source(
+    mode: str,
+    source: str,
+    *,
+    seed: int,
+    index: int,
+    max_steps: int,
+    chaos: bool,
+) -> CheckResult:
+    """The oracle for one mini-Pascal (``ast``) or MiniJava source text.
+
+    Every optimization level runs on both engines, with bit-identical
+    observations per level and identical output across levels.  Then
+    the CC baseline must match, for mini-Pascal only: the CC machine
+    compiles no MiniJava.  Last comes the sampled chaos schedule.
+    """
+    from ..ccmachine import CcCompileError, CcMachine, compile_cc_source
+
+    result = CheckResult(mode=mode)
     outputs: Dict[str, Any] = {}
     chaos_program = None
     for level in OPT_LEVELS:
         try:
-            compiled = compile_source(source, opt_level=OptLevel(level))
+            compiled = _compile(mode, source, level)
         except Exception as exc:
             result.status = "error"
             result.observations[level] = {"compile_error": _error_info(exc)}
@@ -224,8 +242,8 @@ def check_ast_source(
             # a generated program must halt cleanly: anything else is a
             # generator or toolchain bug worth surfacing
             result.diverge(
-                "ast-outcome", {"level": level, "status": reference["status"],
-                                "error": reference["error"]}
+                f"{mode}-outcome", {"level": level, "status": reference["status"],
+                                    "error": reference["error"]}
             )
         outputs[level] = {
             "output": reference["output"],
@@ -246,91 +264,27 @@ def check_ast_source(
                 "opt-level", {"levels": [OPT_LEVELS[0], level],
                               "outputs": [baseline, outputs[level]]}
             )
-    try:
-        cc_program = compile_cc_source(source)
-    except CcCompileError as exc:
-        result.observations["cc"] = {"skipped": str(exc)}
+    if mode == "minijava":
+        result.observations["cc"] = {"skipped": "minijava has no CC baseline"}
     else:
-        cc = CcMachine(cc_program)
         try:
-            cc.run(max_steps)
-        except Exception as exc:
-            # the MIPS side ran this program cleanly; the CC baseline
-            # failing on it is itself a divergence, not a skip
-            result.diverge("cc-run", {"error": _error_info(exc)})
+            cc_program = compile_cc_source(source)
+        except CcCompileError as exc:
+            result.observations["cc"] = {"skipped": str(exc)}
         else:
-            cc_out = {"output": list(cc.output), "output_text": cc.output_text}
-            result.cc_checked = True
-            result.observations["cc"] = cc_out
-            if cc_out != baseline:
-                result.diverge("cc-baseline", {"cc": cc_out, "mips": baseline})
-    if chaos and chaos_program is not None:
-        _check_chaos(result, chaos_program, seed, index, max_steps)
-    return result
-
-
-def check_minijava_source(
-    source: str,
-    *,
-    seed: int = 0,
-    index: int = 0,
-    max_steps: int = 2_000_000,
-    chaos: bool = False,
-) -> CheckResult:
-    """The oracle for one MiniJava source text.
-
-    Same contract as :func:`check_ast_source` -- every optimization
-    level, both engines, bit-identical observations per level and
-    identical output across levels, plus the sampled chaos schedule.
-    The CC-baseline leg is skipped: the CC machine compiles only
-    mini-Pascal, so there is no ground-truth CC image to compare.
-    """
-    from ..mjlang import compile_minijava
-    from ..reorg.reorganizer import OptLevel
-
-    result = CheckResult(mode="minijava")
-    outputs: Dict[str, Any] = {}
-    chaos_program = None
-    for level in OPT_LEVELS:
-        try:
-            compiled = compile_minijava(source, opt_level=OptLevel(level))
-        except Exception as exc:
-            result.status = "error"
-            result.observations[level] = {"compile_error": _error_info(exc)}
-            result.diverge("compile", {"level": level, "error": _error_info(exc)})
-            return result
-        per_engine = {
-            engine: _observe(compiled.program, engine, max_steps, source)
-            for engine in ENGINES
-        }
-        _compare_engines(result, level, per_engine)
-        reference = per_engine[ENGINES[0]]
-        if reference["status"] != "ok":
-            result.diverge(
-                "minijava-outcome",
-                {"level": level, "status": reference["status"],
-                 "error": reference["error"]},
-            )
-        outputs[level] = {
-            "output": reference["output"],
-            "output_text": reference["output_text"],
-        }
-        result.observations[level] = {
-            "fingerprint": reference["fingerprint"],
-            "cycles": reference["stats"]["cycles"],
-            "words": reference["stats"]["words"],
-            **outputs[level],
-        }
-        if level == "branch-delay":
-            chaos_program = compiled.program
-    baseline = outputs[OPT_LEVELS[0]]
-    for level in OPT_LEVELS[1:]:
-        if outputs[level] != baseline:
-            result.diverge(
-                "opt-level", {"levels": [OPT_LEVELS[0], level],
-                              "outputs": [baseline, outputs[level]]}
-            )
-    result.observations["cc"] = {"skipped": "minijava has no CC baseline"}
+            cc = CcMachine(cc_program)
+            try:
+                cc.run(max_steps)
+            except Exception as exc:
+                # the MIPS side ran this program cleanly; the CC baseline
+                # failing on it is itself a divergence, not a skip
+                result.diverge("cc-run", {"error": _error_info(exc)})
+            else:
+                cc_out = {"output": list(cc.output), "output_text": cc.output_text}
+                result.cc_checked = True
+                result.observations["cc"] = cc_out
+                if cc_out != baseline:
+                    result.diverge("cc-baseline", {"cc": cc_out, "mips": baseline})
     if chaos and chaos_program is not None:
         _check_chaos(result, chaos_program, seed, index, max_steps)
     return result
@@ -363,22 +317,33 @@ def check_word_source(source: str, *, max_steps: int = 200_000) -> CheckResult:
     return result
 
 
+def check_source(
+    mode: str,
+    source: str,
+    *,
+    seed: int = 0,
+    index: int = 0,
+    max_steps: int = 2_000_000,
+    chaos: bool = False,
+) -> CheckResult:
+    """Run the oracle for ``mode`` (``ast``, ``minijava`` or ``words``) on ``source``."""
+    if mode == "words":
+        return check_word_source(source, max_steps=min(max_steps, 200_000))
+    return _check_compiled_source(
+        mode, source, seed=seed, index=index, max_steps=max_steps, chaos=chaos
+    )
+
+
 def check_case(case, *, max_steps: int = 2_000_000) -> CheckResult:
-    """Dispatch a :class:`~repro.fuzz.case.FuzzCase` to its oracle."""
-    if case.mode == "ast":
-        return check_ast_source(
-            case.source,
-            seed=case.seed,
-            index=case.index,
-            max_steps=max_steps,
-            chaos=case.index % CHAOS_SAMPLE == 0,
-        )
-    if case.mode == "minijava":
-        return check_minijava_source(
-            case.source,
-            seed=case.seed,
-            index=case.index,
-            max_steps=max_steps,
-            chaos=case.index % CHAOS_SAMPLE == 0,
-        )
-    return check_word_source(case.source, max_steps=min(max_steps, 200_000))
+    """Check a :class:`~repro.fuzz.case.FuzzCase`.
+
+    Every ``CHAOS_SAMPLE``-th case also runs the chaos schedule.
+    """
+    return check_source(
+        case.mode,
+        case.source,
+        seed=case.seed,
+        index=case.index,
+        max_steps=max_steps,
+        chaos=case.index % CHAOS_SAMPLE == 0,
+    )

@@ -8,8 +8,8 @@ Covers the four contracts the subsystem ships:
   contract with zero violations on both execution engines;
 - **double-fault panic** -- a fault delivered inside a handler dies as a
   structured PANIC record, not silent state loss;
-- **operability** -- campaigns run as farm jobs, dead workers leave
-  replayable failure records, and the shrinker minimizes failing plans.
+- **operability** -- ``mips-chaos run`` records are byte-reproducible,
+  and the shrinker minimizes failing plans.
 """
 
 import filecmp
@@ -29,9 +29,6 @@ from repro.chaos import (
 )
 from repro.chaos.campaigns import _baseline, _counting_source
 from repro.cli import chaos_main
-from repro.farm.job import chaos_jobs
-from repro.farm.scheduler import Scheduler
-from repro.farm.worker import crash_record, execute_job
 from repro.sim.faults import KernelPanic, OverflowTrap
 from repro.system.kernel import Kernel
 
@@ -240,36 +237,3 @@ class TestChaosCli:
     def test_unknown_campaign_is_an_argparse_error(self):
         with pytest.raises(SystemExit):
             chaos_main(["run", "--seed", "1", "--campaign", "nope"])
-
-
-class TestFarmIntegration:
-    def test_campaign_runs_as_farm_job(self):
-        (job,) = chaos_jobs(["device-stall"], seed=SEED)
-        record = execute_job(job.to_dict())
-        assert record["status"] == "ok"
-        chaos = record["extra"]["chaos"]
-        assert chaos["campaign"] == "device-stall"
-        assert chaos["seed"] == SEED
-        assert chaos["violations"] == []
-        assert chaos["digest"] == run_campaign("device-stall", seed=SEED)["digest"]
-
-    def test_campaign_jobs_through_scheduler(self):
-        jobs = chaos_jobs(["nested-faults"], seed=SEED)
-        (record,) = Scheduler(jobs=1, backoff_base_s=0.01).run(list(jobs))
-        assert record["status"] == "ok"
-        assert record["extra"]["chaos"]["outcome"] == "panic"
-        assert record["extra"]["chaos"]["violations"] == []
-
-    def test_dead_worker_leaves_replayable_record(self):
-        (job,) = chaos_jobs(["paging-chaos"], seed=11)
-        record = crash_record(job.to_dict(), attempt=2, detail="worker died")
-        assert record["status"] == "crash"
-        assert record["error"]["attempt"] == 2
-        assert record["extra"]["chaos_seed"] == 11
-        assert record["extra"]["campaign"] == "paging-chaos"
-        assert "mips-chaos run --seed 11 --campaign paging-chaos" in record["error"]["message"]
-
-    def test_seed_is_part_of_the_job_key(self):
-        (a,) = chaos_jobs(["bitflips"], seed=1)
-        (b,) = chaos_jobs(["bitflips"], seed=2)
-        assert a.key != b.key
