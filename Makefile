@@ -28,11 +28,13 @@ experiments-check:
 	git diff --exit-code EXPERIMENTS.md
 
 ## engine-differential: corpus profiles byte-identical on the reference
-## stepper and the fast path
+## stepper and the fast path, then farm records, the MiniJava corpus at
+## every level and the MiniJava examples (tools/engine_differential.py)
 engine-differential:
 	$(PYTHON) -m repro.perf corpus --engine precise > /tmp/profiles-precise.jsonl
 	$(PYTHON) -m repro.perf corpus --engine fast > /tmp/profiles-fast.jsonl
 	cmp /tmp/profiles-precise.jsonl /tmp/profiles-fast.jsonl
+	$(PYTHON) tools/engine_differential.py
 
 ## farm-smoke: the experiments and the farm's stable records over the
 ## quick Pascal and MiniJava corpora are byte-identical at --jobs 1 and 2

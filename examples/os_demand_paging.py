@@ -10,7 +10,8 @@ processes under a preemptive round-robin scheduler.
 """
 
 from repro.compiler import compile_source
-from repro.system import Kernel, PAGE_WORDS, build_kernel_program
+from repro.isa.addressing import segment_translator
+from repro.system import Kernel, PAGE_WORDS, SEG_MASK_BITS, build_kernel_program
 from repro.workloads import CORPUS, EXPECTED_OUTPUT
 
 
@@ -23,8 +24,8 @@ def main() -> None:
     names = ["fib_iterative", "sieve", "strings"]
     for name in names:
         process = kernel.add_process(compile_source(CORPUS[name]).program)
-        print(f"  pid {process.pid}: {name} "
-              f"(backing store at system VA {process.base_sysva:#x})")
+        base = segment_translator(process.pid, SEG_MASK_BITS)(0)
+        print(f"  pid {process.pid}: {name} (segment at system VA {base:#x})")
 
     print("\nbooting...")
     kernel.run()

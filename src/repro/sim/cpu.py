@@ -39,16 +39,13 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Dict, List, Optional, Tuple
 
+from ..isa.addressing import ADDRESS_FUNCTIONS, segment_translator
 from ..isa.bits import u32
 from ..isa.encoding import decode
 from ..isa.operations import AluOp, alu_evaluate, alu_insert_byte, alu_overflows, compare
 from ..isa.pieces import (
-    Absolute,
     Alu,
-    BaseIndex,
-    BaseShifted,
     CompareBranch,
-    Displacement,
     Imm,
     Jump,
     JumpIndirect,
@@ -182,34 +179,14 @@ class Cpu:
     # address translation (the on-chip segmentation unit, section 3.1)
     # ------------------------------------------------------------------
 
-    @property
-    def process_space_words(self) -> int:
-        """Size of the current process's virtual space (65K..16M words)."""
-        return 1 << (24 - self.seg_mask)
-
     def translate(self, addr: int) -> int:
-        """Segment-check and translate a process address to a system address.
-
-        The process sees a 32-bit space with two valid regions: half its
-        allocation growing up from 0 and half growing down from 2**32
-        ("one residing at the top of the program's virtual 32-bit
-        address space, and the other at the bottom").  "Any attempt to
-        reference a word between the two valid regions is treated as a
-        page fault."  The on-chip unit masks the top bits and inserts
-        the PID, yielding a 16M-word *system* virtual address, so the
-        off-chip page map can hold entries for many processes at once
-        without growing its tags.
-        """
-        addr = u32(addr)
-        space = self.process_space_words
-        half = space // 2
-        if addr < half:
-            offset = addr
-        elif addr >= u32(-half):
-            offset = addr - ((1 << 32) - space)
-        else:
+        """A process address's system address, by the segment check of
+        :mod:`repro.isa.addressing`; the hole between the regions faults."""
+        addr &= 4294967295
+        sysaddr = segment_translator(self.seg_pid, self.seg_mask)(addr)
+        if sysaddr is None:
             raise PageFault(addr)
-        return self.seg_pid * space + offset
+        return sysaddr
 
     def _mem_addr(self, addr: int) -> Tuple[int, bool]:
         """(address presented to the memory system, was it mapped?)."""
@@ -235,18 +212,6 @@ class Cpu:
         if isinstance(operand, Imm):
             return operand.value
         return self.regs[operand.number]
-
-    def _effective_address(self, piece) -> int:
-        addr = piece.addr
-        if isinstance(addr, Absolute):
-            return addr.addr
-        if isinstance(addr, Displacement):
-            return u32(self.regs[addr.base.number] + addr.disp)
-        if isinstance(addr, BaseIndex):
-            return u32(self.regs[addr.base.number] + self.regs[addr.index.number])
-        if isinstance(addr, BaseShifted):
-            return self.regs[addr.base.number] >> addr.shift
-        raise IllegalInstruction(f"bad address {addr!r}")
 
     # ------------------------------------------------------------------
     # fetch / next-pc machinery
@@ -507,14 +472,17 @@ class Cpu:
 
         # ---- the memory reference (may fault; nothing written yet) -------
         if isinstance(mem_piece, Load):
-            value = self._read_mem(self._effective_address(mem_piece))
+            mode = mem_piece.addr
+            value = self._read_mem(ADDRESS_FUNCTIONS[mode.__class__](self.regs, mode))
             load_write[mem_piece.dst.number] = value
             self.stats.loads += 1
             if mem_piece.note:
                 self.stats.ref_notes[mem_piece.note] += 1
         elif isinstance(mem_piece, Store):
+            mode = mem_piece.addr
             self._write_mem(
-                self._effective_address(mem_piece), self.regs[mem_piece.src.number]
+                ADDRESS_FUNCTIONS[mode.__class__](self.regs, mode),
+                self.regs[mem_piece.src.number],
             )
             self.stats.stores += 1
             if mem_piece.note:

@@ -25,8 +25,9 @@ slot survived as its own constant.
 The arithmetic is not written here: ALU results, overflow predicates and
 comparisons are rendered from the expression tables of
 :mod:`repro.isa.operations`, the same entries the reference stepper's
-evaluators are compiled from.  Handlers carry the rendered text inline
-and never call those evaluators.
+evaluators are compiled from; address modes and the segment check, from
+:mod:`repro.isa.addressing`.  Handlers carry the rendered text inline
+and never call the compiled functions.
 
 Correctness discipline (what keeps the fast path bit-for-bit identical
 to :meth:`Cpu.step`):
@@ -59,9 +60,9 @@ Execution contexts:
 - **Mapped** (user mode under the kernel), over a ``MappedMemory``:
   handlers are keyed by virtual PC, so per-PC profiles keep virtual PCs.
   The fetch is translated once, at compile time; each data reference is
-  translated by its handler -- the on-chip two-region segment check with
-  the context's constants, then a lookup in the live page map -- and
-  bails on a hole, a map miss or a bus error, so the reference stepper
+  translated by its handler -- the on-chip segment check rendered with
+  the context's window as slots, then a lookup in the live page map --
+  and bails on a hole, a map miss or a bus error, so the reference stepper
   raises the precise fault.  Mapped references never reach the device
   window.  Translation counts flush as counts x deltas; a handler sets
   its data page's referenced (and, storing, dirty) bit at commit, and
@@ -80,6 +81,7 @@ from dataclasses import dataclass
 from types import FunctionType
 from typing import Dict, Optional
 
+from ..isa.addressing import ADDRESS_EXPRESSIONS, SEGMENT_CHECK, segment_translator, segment_window
 from ..isa.bits import u32
 from ..isa.encoding import decode
 from ..isa.operations import (
@@ -92,10 +94,7 @@ from ..isa.operations import (
 from ..isa.pieces import (
     Absolute,
     Alu,
-    BaseIndex,
-    BaseShifted,
     CompareBranch,
-    Displacement,
     Imm,
     Jump,
     JumpIndirect,
@@ -193,9 +192,10 @@ class _MappedContext(_Context):
     """A mapped context: one segment, keyed by the privilege and
     overflow-enable bits plus ``seg_pid`` and ``seg_mask``.
 
-    Handlers are keyed by virtual PC.  ``half``, ``top``, ``low_base``
-    and ``high_bias`` are :meth:`Cpu.translate` with this segment's
-    numbers folded in.  ``pages`` maps each system page compiled from to
+    Handlers are keyed by virtual PC.  ``window`` holds the segment
+    check's numbers, which handlers carry as slots; ``translate`` runs
+    the check at emit time, on fetches and absolute addresses.
+    ``pages`` maps each system page compiled from to
     the frame it was in then and the PCs compiled from it, so a map
     change drops exactly those words.  A handler depends on the context,
     the virtual PC and the word's bits, never on the frame: ``memo``
@@ -203,28 +203,17 @@ class _MappedContext(_Context):
     in re-adopts its handlers instead of recompiling them.
     """
 
-    __slots__ = ("half", "top", "low_base", "high_bias", "pages", "memo", "generation")
+    __slots__ = ("window", "translate", "pages", "memo", "generation")
     mapped = True
 
     def __init__(self, flags: int, seg_pid: int, seg_mask: int):
         super().__init__(flags)
-        space = 1 << (24 - seg_mask)
-        self.half = space // 2
-        self.top = (1 << 32) - self.half
-        self.low_base = seg_pid * space
-        self.high_bias = (1 << 32) - space - self.low_base
+        self.window = segment_window(seg_pid, seg_mask)
+        self.translate = segment_translator(seg_pid, seg_mask)
         self.pages: Dict[int, tuple] = {}
         self.memo: Dict[tuple, tuple] = {}
         #: the page-map generation ``pages`` was last checked against
         self.generation = -1
-
-    def sysva(self, addr: int) -> Optional[int]:
-        """The system virtual address of u32 ``addr``; None in the hole."""
-        if addr < self.half:
-            return addr + self.low_base
-        if addr >= self.top:
-            return addr - self.high_bias
-        return None
 
 
 class _WordIR:
@@ -531,7 +520,7 @@ class FastPathEngine:
         nothing is cached.  Mapped contexts re-adopt a memoized handler
         when the word's bits are unchanged."""
         if ctx.mapped:
-            sysva = ctx.sysva(pc & _MASK)
+            sysva = ctx.translate(pc & _MASK)
             if sysva is None:
                 return None
             shift = self._page_shift
@@ -769,7 +758,7 @@ class FastPathEngine:
             note,
         )
         if ctx.mapped:
-            delta += (ctx.sysva(pc & _MASK) >> self._page_shift,)
+            delta += (ctx.translate(pc & _MASK) >> self._page_shift,)
         return _WordIR(body, k, flow, delta)
 
     # ---- emit helpers -----------------------------------------------------
@@ -837,11 +826,10 @@ class FastPathEngine:
         of the physical address the reference is made at."""
         size = self._phys.size
         addr = piece.addr
-        ea = "_ea"
         if isinstance(addr, Absolute):
             ea_val = addr.addr
             if ctx.mapped:
-                sysva = ctx.sysva(ea_val)
+                sysva = ctx.translate(ea_val)
                 if sysva is None:
                     return None  # always a segment fault: reference territory
                 pre.append(f"_sv = {k(sysva)}")
@@ -851,40 +839,24 @@ class FastPathEngine:
             if self._devices is not None and self._devices.claims(ea_val):
                 return None  # device register: always reference
             return k(ea_val)
-        if isinstance(addr, Displacement):
-            if addr.disp == 0:
-                pre.append(f"{ea} = regs[{k(addr.base.number)}]")
-            else:
-                pre.append(
-                    f"{ea} = (regs[{k(addr.base.number)}] + {k(addr.disp)}) & 4294967295"
-                )
-        elif isinstance(addr, BaseIndex):
-            pre.append(
-                f"{ea} = (regs[{k(addr.base.number)}] + regs[{k(addr.index.number)}])"
-                " & 4294967295"
-            )
-        elif isinstance(addr, BaseShifted):
-            pre.append(f"{ea} = regs[{k(addr.base.number)}] >> {k(addr.shift)}")
-        else:
-            return None
+        expr = ADDRESS_EXPRESSIONS[type(addr)]
+        fields = {}
+        for name in ("base", "index", "disp", "shift"):
+            if "{%s}" % name in expr:
+                value = getattr(addr, name)
+                fields[name] = k(value) if isinstance(value, int) else f"regs[{k(value.number)}]"
+        pre.append(f"_ea = {expr.format(**fields)}")
         if ctx.mapped:
-            # the on-chip segment check (Cpu.translate): two regions, the
-            # hole between them faults
-            pre.extend((
-                f"if {ea} < {k(ctx.half)}:",
-                f"    _sv = {ea} + {k(ctx.low_base)}",
-                f"elif {ea} >= {k(ctx.top)}:",
-                f"    _sv = {ea} - {k(ctx.high_bias)}",
-                "else:",
-                "    raise _B",
-            ))
+            window = dict(zip(("half", "top", "low", "high"), map(k, ctx.window)))
+            check = SEGMENT_CHECK.format(a="_ea", to="_sv = ", hole="raise _B", **window)
+            pre.extend(check.split("\n"))
             return self._emit_page_lookup(pre)
-        pre.append(f"if {ea} >= {size}: raise _B")
+        pre.append(f"if _ea >= {size}: raise _B")
         if self._devices is not None:
             from ..system.devices import DEV_BASE, DEV_WORDS
 
-            pre.append(f"if {DEV_BASE} <= {ea} < {DEV_BASE + DEV_WORDS}: raise _B")
-        return ea
+            pre.append(f"if {DEV_BASE} <= _ea < {DEV_BASE + DEV_WORDS}: raise _B")
+        return "_ea"
 
     def _emit_page_lookup(self, pre: list) -> str:
         """The off-chip page map on system address ``_sv``: a hole in the

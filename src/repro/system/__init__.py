@@ -12,7 +12,6 @@ from .dma import DmaTransfer, FreeCycleDma, run_with_dma
 from .kernel import (
     Kernel,
     MAX_PROCESSES,
-    PROCESS_SPACE,
     Process,
     SEG_MASK_BITS,
     SYS_EXIT,
@@ -45,7 +44,6 @@ __all__ = [
     "MappedMemory",
     "PAGE_SHIFT",
     "PAGE_WORDS",
-    "PROCESS_SPACE",
     "PageMap",
     "PageMapStats",
     "Process",

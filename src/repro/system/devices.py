@@ -30,7 +30,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from ..sim.faults import BusError, PrivilegeViolation
 from ..sim.memory import PhysicalMemory
-from .mapping import PAGE_WORDS, PageMap
+from .mapping import PAGE_SHIFT, PAGE_WORDS, PageMap
 
 # the device window must be reachable with a 21-bit absolute address
 DEV_BASE = 0x1FF000
@@ -98,11 +98,16 @@ class Disk:
         self.writebacks = 0
         self._selected_page = 0
 
-    def register_image(self, base_sysva: int, image: Dict[int, int]) -> None:
-        """Scatter a program image (va -> word) into backing pages."""
+    def register_image(self, translate: Callable[[int], Optional[int]],
+                       image: Dict[int, int]) -> None:
+        """Scatter a program image (va -> word) into backing pages, each
+        word where the process's segment ``translate`` places it; a word
+        in the hole, or past 32 bits, raises :class:`ValueError`."""
         for addr, value in image.items():
-            sysva = base_sysva + addr
-            page, offset = sysva >> 8, sysva & (PAGE_WORDS - 1)
+            sysva = None if addr >> 32 else translate(addr)
+            if sysva is None:
+                raise ValueError(f"image word at {addr:#x} is outside the process's segment")
+            page, offset = sysva >> PAGE_SHIFT, sysva & (PAGE_WORDS - 1)
             self.pages.setdefault(page, [0] * PAGE_WORDS)[offset] = value
 
     def select(self, page: int) -> None:
@@ -110,7 +115,7 @@ class Disk:
 
     def copy_to_frame(self, frame: int) -> None:
         content = self.pages.get(self._selected_page)
-        base = frame << 8
+        base = frame << PAGE_SHIFT
         if content is None:
             for i in range(PAGE_WORDS):
                 self.physical.poke(base + i, 0)
@@ -121,7 +126,7 @@ class Disk:
 
     def store_from_frame(self, frame: int) -> None:
         """Write a frame back to the selected backing page (eviction)."""
-        base = frame << 8
+        base = frame << PAGE_SHIFT
         self.pages[self._selected_page] = [
             self.physical.peek(base + i) for i in range(PAGE_WORDS)
         ]

@@ -41,6 +41,7 @@ from typing import Dict, List, Optional
 
 from ..asm.program import Program
 from ..asm.assembler import assemble_pieces
+from ..isa.addressing import segment_translator
 from ..isa.bits import u32
 from ..reorg.reorganizer import OptLevel, reorganize
 from ..sim.cpu import Cpu, HazardMode
@@ -93,7 +94,6 @@ FIRST_FRAME = 16        # user frames start at physical 0x1000
 
 #: on-chip segmentation: 4 masked bits -> 16 processes x 1M words
 SEG_MASK_BITS = 4
-PROCESS_SPACE = 1 << (24 - SEG_MASK_BITS)
 
 #: initial user stack pointer, in the *top* region of the 32-bit space
 USER_STACK_TOP = u32(-16)
@@ -320,10 +320,6 @@ class Process:
     program: Program
     state: str = "runnable"
 
-    @property
-    def base_sysva(self) -> int:
-        return self.pid * PROCESS_SPACE
-
 
 def _initial_saved_surprise() -> int:
     """The surprise value saved for a not-yet-run process.
@@ -414,7 +410,9 @@ class Kernel:
 
         saved_surprise = _initial_saved_surprise()
         for process in self.processes:
-            self.disk.register_image(process.base_sysva, process.program.memory)
+            self.disk.register_image(
+                segment_translator(process.pid, SEG_MASK_BITS), process.program.memory
+            )
             entry_base = PROC_TABLE + process.pid * PROC_ENTRY_WORDS
             for i in range(16):
                 self.physical.poke(entry_base + i, 0)

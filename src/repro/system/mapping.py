@@ -4,8 +4,8 @@
 combining an optional page-level mapping unit off-chip with a simple
 yet elegant address space segmentation mechanism on-chip."
 
-The on-chip half (masking + PID insertion, the two-region check) lives
-in :meth:`repro.sim.cpu.Cpu.translate`; this module is the off-chip
+The on-chip half (masking + PID insertion, the two-region check) is
+defined in :mod:`repro.isa.addressing`; this module is the off-chip
 half: a page table over the 16M-word *system* virtual space, shared by
 all processes (the PID was already folded into the address, so the map
 needs no per-process tags).

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.isa.addressing import segment_translator
 from repro.sim import BusError, PhysicalMemory, PrivilegeViolation
 from repro.system.devices import (
     CONSOLE_CHAR,
@@ -107,7 +108,7 @@ class TestPageMapRegisters:
 class TestDisk:
     def test_page_in_and_write_back(self, bus):
         physical = bus.disk.physical
-        bus.disk.register_image(0, {3: 99})
+        bus.disk.register_image(segment_translator(0, 4), {3: 99})
         bus.write(DISK_PAGE, 0)
         bus.write(DISK_FRAME, 5)
         assert physical.peek(5 * PAGE_WORDS + 3) == 99

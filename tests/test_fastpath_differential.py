@@ -29,14 +29,19 @@ from repro.ccmachine import (
 )
 from repro.compiler import compile_source
 from repro.fuzz.case import make_case
+from repro.isa.addressing import segment_translator, segment_window
 from repro.isa.bits import s32
 from repro.isa.encoding import encode
 from repro.isa.operations import AluOp, Comparison, alu_evaluate
 from repro.isa.pieces import (
     Absolute,
     Alu,
+    BaseIndex,
+    BaseShifted,
     CompareBranch,
+    Displacement,
     Imm,
+    Load,
     MovImm,
     Noop,
     SetCond,
@@ -51,12 +56,12 @@ from repro.perf.baseline import GATE_PROGRAMS
 from repro.reorg import OptLevel
 from repro.sim import HazardMode, HazardViolation, Machine, state_fingerprint
 from repro.sim.cpu import Cpu
-from repro.sim.faults import OverflowTrap, PageFault, TrapInstruction
+from repro.sim.faults import BusError, OverflowTrap, PageFault, TrapInstruction
 from repro.sim.fastpath import _FALLBACK
 from repro.sim.machine import run_source
 from repro.sim.memory import PhysicalMemory
 from repro.system.kernel import Kernel
-from repro.system.mapping import PAGE_SHIFT, PAGE_WORDS
+from repro.system.mapping import PAGE_SHIFT, PAGE_WORDS, MappedMemory
 from repro.workloads import CORPUS, MINIJAVA_CORPUS
 
 #: a fast-running cross-section of the corpus (control flow, recursion,
@@ -721,6 +726,161 @@ def test_exhaustive_ops_match_reference(family, overflow_traps):
     # including the immediate-only forms the corpus never emits
     checked = _assert_handlers_are_literal_source(engine, every_word=False)
     assert checked == engine.stats.templates
+
+
+# ---------------------------------------------------------------------------
+# exhaustive addressing: every mode x every segment mask x edge values
+# ---------------------------------------------------------------------------
+
+#: where a case program's code and results live (virtual, in the low
+#: region of every segment; physical with mapping off), and two more
+#: addresses there: one on a page left unmapped and one on a page mapped
+#: to a frame past memory.  None lies where the edge values reach.
+ADDR_CODE, ADDR_RESULTS, ADDR_MISS, ADDR_BUS = 10240, 13312, 30000, 31000
+ADDR_MEMORY = 1 << 16
+ADDR_DISPS = (0, 1, -1, 65535, -65536)
+LOADED = Reg(13)
+
+
+def _addressing_words(nbases, nindexes, absolutes):
+    """Every address mode over base registers r0.. and index registers
+    r0..: case ``i`` loads through its mode and stores the value at
+    ``ADDR_RESULTS + i``, then stores through its mode."""
+    bases = [Reg(n) for n in range(nbases)]
+    modes = [Displacement(base, disp) for base in bases for disp in ADDR_DISPS]
+    modes += [BaseIndex(base, index) for base in bases for index in bases[:nindexes]]
+    modes += [BaseShifted(base, shift) for base in bases for shift in (1, 2, 3, 4)]
+    modes += [Absolute(addr) for addr in absolutes]
+    assert len(modes) <= PAGE_WORDS  # the results fill at most one page
+    pieces = []
+    for i, mode in enumerate(modes):
+        pieces += [Load(mode, LOADED), Noop(), Store(Absolute(ADDR_RESULTS + i), LOADED)]
+        pieces.append(Store(mode, LOADED))
+    pieces.append(Trap(0))
+    return [InstructionWord.single(piece) for piece in pieces]
+
+
+def _addressing_cpu(words, regs, mask=None, pid=0):
+    """A CPU about to run ``words`` at ``ADDR_CODE``: in user mode over a
+    page map in segment ``(pid, mask)``, or over bare physical memory when
+    ``mask`` is None.  Mapped, each region edge's page, the code pages and
+    the results page hold frames, and ``ADDR_BUS``'s page a frame past
+    memory.  Each edge page's words read as one plus their physical
+    address."""
+    physical = PhysicalMemory(ADDR_MEMORY)
+    if mask is None:
+        cpu = Cpu(physical)
+        place = {addr: addr for addr in range(ADDR_CODE, ADDR_CODE + len(words))}
+        data = [*range(PAGE_WORDS), *range(ADDR_MEMORY - PAGE_WORDS, ADDR_MEMORY)]
+    else:
+        cpu = Cpu(MappedMemory(physical))
+        cpu.seg_mask, cpu.seg_pid = mask, pid
+        cpu.surprise.supervisor = False
+        cpu.surprise.mapping_enabled = True
+        translate = segment_translator(pid, mask)
+        half, top, _, _ = segment_window(pid, mask)
+        code = [translate(ADDR_CODE + addr) for addr in range(len(words))]
+        edges = [translate(va) for va in (0, half - 1, top, 2**32 - 1, ADDR_RESULTS)]
+        pages = sorted({sv >> PAGE_SHIFT for sv in code + edges})
+        pagemap = cpu.memory.pagemap
+        for frame, page in enumerate(pages):
+            pagemap.map_page(page, frame)
+        pagemap.map_page(translate(ADDR_BUS) >> PAGE_SHIFT, ADDR_MEMORY >> PAGE_SHIFT)
+
+        def physical_of(sysva):
+            frame = pagemap.entries[sysva >> PAGE_SHIFT]
+            return (frame << PAGE_SHIFT) | (sysva & (PAGE_WORDS - 1))
+
+        place = {ADDR_CODE + addr: physical_of(sv) for addr, sv in enumerate(code)}
+        data = [
+            physical_of((sv & -PAGE_WORDS) + offset)
+            for sv in edges[:4]
+            for offset in range(PAGE_WORDS)
+        ]
+    for addr in data:
+        physical.poke(addr, addr + 1)
+    for (va, addr), word in zip(place.items(), words):
+        physical.poke(addr, encode(word, va))
+    cpu.regs[: len(regs)] = regs
+    cpu.pc = ADDR_CODE
+    return cpu
+
+
+def _run_addressing(cpu, fast):
+    """Run a case program to its final trap; returns every fault taken as
+    ``(kind, pc, address)``.  Each resumes past its word."""
+    run = cpu.fastpath().run if fast else cpu.run
+    faults = []
+    while True:
+        try:
+            run(1 << 16)
+        except TrapInstruction:
+            return faults
+        except (PageFault, BusError) as fault:
+            faults.append((type(fault).__name__, cpu.pc, fault.address))
+            cpu.pc += 1
+            continue
+        pytest.fail("case program ran past its final trap")
+
+
+def _addressing_outcome(cpu, faults):
+    physical = cpu.memory.physical if isinstance(cpu.memory, MappedMemory) else cpu.memory
+    outcome = {
+        "faults": faults,
+        "cpu": state_fingerprint(cpu),
+        "stats": asdict(cpu.stats),
+        "memory": dict(physical._words),
+        "memory_stats": asdict(physical.stats),
+    }
+    if physical is not cpu.memory:
+        pagemap = cpu.memory.pagemap
+        outcome["referenced"] = dict(pagemap.referenced)
+        outcome["dirty"] = dict(pagemap.dirty)
+        outcome["pagemap"] = (asdict(pagemap.stats), pagemap.pending_fault)
+    return outcome
+
+
+def _addressing_differential(words, regs, mask=None, pid=0):
+    """Both engines' outcomes of one case program: they must agree, only
+    the final trap may fall back to the reference stepper, and a handler
+    bails only on a reference that faults."""
+    outcomes = []
+    for fast in (True, False):
+        cpu = _addressing_cpu(words, regs, mask, pid)
+        faults = _run_addressing(cpu, fast)
+        outcomes.append(_addressing_outcome(cpu, faults))
+        if fast:
+            stats = cpu.fastpath().stats
+            assert (stats.fallbacks, stats.bails) == (1, len(faults))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[1]
+
+
+@pytest.mark.parametrize("mask", range(9))
+def test_exhaustive_mapped_addressing_matches_reference(mask):
+    """Every address mode, loads and stores, in mapped user mode under
+    segment mask ``mask`` with its lowest and highest PID: the engines
+    agree on the fault sequence -- segment holes, map misses and bus
+    errors alike -- state, stats, memory and the page map's bits."""
+    for pid in sorted({0, 2**mask - 1}):
+        half, top, _, _ = segment_window(pid, mask)
+        regs = (0, 1, half - 1, half, top - 1, top, 2**32 - 1, ADDR_MISS, ADDR_BUS)
+        absolutes = (0, 1, min(half, 1 << 21) - 1, ADDR_MISS, ADDR_BUS)
+        words = _addressing_words(len(regs), 7, absolutes)
+        outcome = _addressing_differential(words, regs, mask, pid)
+        kinds = [kind for kind, _, _ in outcome["faults"]]
+        misses = outcome["pagemap"][0]["faults"]
+        assert 0 < misses < kinds.count("PageFault")  # the rest are holes
+        assert "BusError" in kinds
+
+
+def test_exhaustive_unmapped_addressing_matches_reference():
+    """The same modes with mapping off, over bare physical memory: words
+    past memory are bus errors."""
+    regs = (0, 1, ADDR_MEMORY - 1, ADDR_MEMORY, 2**31 - 1, 2**31, 2**32 - 1)
+    words = _addressing_words(len(regs), len(regs), (0, 1, ADDR_MEMORY - 1))
+    outcome = _addressing_differential(words, regs)
+    assert {kind for kind, _, _ in outcome["faults"]} == {"BusError"}
 
 
 # ---------------------------------------------------------------------------

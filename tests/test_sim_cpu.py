@@ -1,17 +1,16 @@
-"""The CPU core: pipeline semantics, exceptions, privilege, segmentation."""
+"""The CPU core: pipeline semantics, exceptions, privilege.
+
+Segmentation is specified in ``tests/test_isa_addressing.py``.
+"""
 
 import pytest
 
 from repro.asm import assemble
-from repro.isa.bits import u32
 from repro.sim import (
-    Cpu,
     HazardMode,
     HazardViolation,
     Machine,
     OverflowTrap,
-    PageFault,
-    PhysicalMemory,
     PrivilegeViolation,
     TrapInstruction,
     run_source,
@@ -220,39 +219,6 @@ class TestPrivilege:
         machine.cpu.surprise.supervisor = False
         machine.run()
         assert machine.output == [0xAB << 16]
-
-
-class TestSegmentation:
-    def make_cpu(self, seg_mask=4, pid=3):
-        cpu = Cpu(PhysicalMemory(1 << 22))
-        cpu.seg_mask = seg_mask
-        cpu.seg_pid = pid
-        return cpu
-
-    def test_low_region_translates(self):
-        cpu = self.make_cpu()
-        space = cpu.process_space_words
-        assert cpu.translate(0) == 3 * space
-        assert cpu.translate(100) == 3 * space + 100
-
-    def test_high_region_translates_to_top_of_window(self):
-        cpu = self.make_cpu()
-        space = cpu.process_space_words
-        assert cpu.translate(u32(-1)) == 3 * space + space - 1
-
-    def test_between_regions_faults(self):
-        cpu = self.make_cpu()
-        half = cpu.process_space_words // 2
-        with pytest.raises(PageFault):
-            cpu.translate(half)  # just past the low region
-        with pytest.raises(PageFault):
-            cpu.translate(1 << 30)  # the dead middle
-
-    def test_space_sizes(self):
-        cpu = self.make_cpu(seg_mask=0)
-        assert cpu.process_space_words == 16 * 1024 * 1024  # full 16M words
-        cpu.seg_mask = 8
-        assert cpu.process_space_words == 65536  # the 65K minimum
 
 
 class TestSurpriseSequence:

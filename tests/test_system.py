@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.asm import assemble
 from repro.compiler import compile_source
 from repro.sim import HazardMode, PageFault, PhysicalMemory
 from repro.system import (
@@ -12,6 +13,7 @@ from repro.system import (
     PageMap,
     build_kernel_program,
 )
+from repro.system.kernel import USER_STACK_TOP
 from repro.workloads import CORPUS, EXPECTED_OUTPUT
 
 
@@ -183,6 +185,34 @@ class TestKernelBoot:
         kernel.run()
         assert kernel.output(0) == [1]
         assert kernel.process_state(0) == 2
+
+
+class TestImageLoader:
+    """The loader places each image word through its process's segment."""
+
+    def test_high_region_word_is_loaded(self):
+        # sp starts at USER_STACK_TOP, in the top region
+        source = f"""
+        start:  ld 0(sp), r1
+                nop
+                trap #1
+                trap #0
+                .org {USER_STACK_TOP}
+                .word 99
+        """
+        kernel = Kernel(quantum=0)
+        kernel.add_process(assemble(source))
+        kernel.run()
+        assert kernel.output(0) == [99]
+
+    def test_word_in_the_hole_is_refused(self):
+        # pid 0's low region ends at 2**19: 2**20 + 100 is in its hole,
+        # and is where pid 1's word 100 lives in system space
+        kernel = Kernel(quantum=0)
+        kernel.add_process(assemble("start: trap #0\n.org 1048676\n.word 77"))
+        kernel.add_process(assemble("start: ld @100, r1\nnop\ntrap #1\ntrap #0"))
+        with pytest.raises(ValueError, match="0x100064"):
+            kernel.run()
 
 
 class TestPageReplacement:
