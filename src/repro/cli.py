@@ -171,16 +171,15 @@ def reorg_main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
     from .asm import assemble_pieces
-    from .reorg import ALL_LEVELS, OptLevel, reorganize
+    from .reorg import ALL_LEVELS, reorganize
 
     with open(args.source) as handle:
         stream = assemble_pieces(handle.read())
-    for level in ALL_LEVELS:
-        result = reorganize(stream, level)
-        marker = " *" if level.value == args.level else ""
-        print(f"; {level.value}: {result.static_count} words{marker}")
-    result = reorganize(stream, OptLevel(args.level))
-    print(result.listing())
+    results = {level.value: reorganize(stream, level) for level in ALL_LEVELS}
+    for value, result in results.items():
+        marker = " *" if value == args.level else ""
+        print(f"; {value}: {result.static_count} words{marker}")
+    print(results[args.level].listing())
     return 0
 
 

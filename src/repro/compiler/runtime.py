@@ -28,7 +28,8 @@ schedules them around the pipeline constraints like any other code.
 
 from __future__ import annotations
 
-from typing import List
+from functools import lru_cache
+from typing import List, Tuple
 
 from ..asm.assembler import assemble_pieces
 from ..reorg.blocks import LabeledPiece
@@ -155,7 +156,14 @@ CLOBBERS = {
 def runtime_stream(
     need_mul: bool, need_div: bool, need_alloc: bool = False
 ) -> List[LabeledPiece]:
-    """The piece stream of the required runtime routines."""
+    """The piece stream of the required runtime routines, as a new list."""
+    return list(_assembled(bool(need_mul), bool(need_div), bool(need_alloc)))
+
+
+@lru_cache(maxsize=None)
+def _assembled(need_mul: bool, need_div: bool, need_alloc: bool) -> Tuple[LabeledPiece, ...]:
+    """Each combination is assembled once per process; labels and pieces
+    are immutable, so callers share them."""
     source = ""
     if need_mul:
         source += MUL_SOURCE
@@ -163,6 +171,4 @@ def runtime_stream(
         source += DIVMOD_SOURCE
     if need_alloc:
         source += ALLOC_SOURCE
-    if not source:
-        return []
-    return assemble_pieces(source)
+    return tuple(assemble_pieces(source)) if source else ()

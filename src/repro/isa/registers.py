@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterable, Union
 
 NUM_REGISTERS = 16
 
@@ -111,3 +112,15 @@ SP = Reg(14)
 RA = Reg(15)
 
 ALL_REGISTERS = tuple(Reg(n) for n in range(NUM_REGISTERS))
+
+#: register sets as bit masks: ``rn`` takes bit n, and the special
+#: registers the bits above the general file
+_SPECIAL_BITS = {sreg: 1 << (NUM_REGISTERS + k) for k, sreg in enumerate(SpecialReg)}
+
+
+def register_mask(regs: Iterable[Union[Reg, SpecialReg]]) -> int:
+    """The bit mask of a set of general and special registers."""
+    mask = 0
+    for r in regs:
+        mask |= _SPECIAL_BITS[r] if isinstance(r, SpecialReg) else 1 << r.number
+    return mask

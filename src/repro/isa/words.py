@@ -167,7 +167,8 @@ class InstructionWord:
 
     @classmethod
     def nop(cls) -> "InstructionWord":
-        return cls.single(Noop())
+        """The no-op word: one shared instance, as words are immutable."""
+        return _NOP
 
     # -- structure ---------------------------------------------------------
 
@@ -178,12 +179,10 @@ class InstructionWord:
     @property
     def pieces(self) -> Tuple[Piece, ...]:
         """The pieces in the word, memory piece first."""
-        out: List[Piece] = []
-        if self.mem is not None:
-            out.append(self.mem)
-        if self.alu is not None:
-            out.append(self.alu)
-        return tuple(out)
+        mem, alu = self.mem, self.alu
+        if mem is None:
+            return (alu,)
+        return (mem,) if alu is None else (mem, alu)
 
     @property
     def flow(self) -> Optional[Piece]:
@@ -195,7 +194,10 @@ class InstructionWord:
 
     @property
     def is_nop(self) -> bool:
-        return len(self.pieces) == 1 and isinstance(self.pieces[0], Noop)
+        mem, alu = self.mem, self.alu
+        if mem is None:
+            return isinstance(alu, Noop)
+        return alu is None and isinstance(mem, Noop)
 
     @property
     def uses_memory(self) -> bool:
@@ -223,6 +225,9 @@ class InstructionWord:
         if self.is_packed:
             return f"[{self.mem!r} | {self.alu!r}]"
         return repr(self.pieces[0])
+
+
+_NOP = InstructionWord.single(Noop())
 
 
 def words_from_pieces(pieces: Iterable[Piece]) -> List[InstructionWord]:

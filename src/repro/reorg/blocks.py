@@ -12,10 +12,10 @@ classic backward dataflow over the block graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..isa.pieces import CompareBranch, Jump, JumpIndirect, Piece, Trap
-from ..isa.registers import ALL_REGISTERS, Reg
+from ..isa.registers import ALL_REGISTERS, Reg, register_mask
 
 #: a piece possibly carrying a label ("entry point" marker)
 LabeledPiece = Tuple[Optional[str], Piece]
@@ -151,13 +151,13 @@ class FlowGraph:
         return None
 
 
-def block_use_def(block: BasicBlock) -> Tuple[Set[Reg], Set[Reg]]:
-    """(use, def): registers read before written / written in the block."""
-    uses: Set[Reg] = set()
-    defs: Set[Reg] = set()
+def block_use_def(block: BasicBlock) -> Tuple[int, int]:
+    """(use, def) as register masks, bit n for rn: registers read before
+    written / written in the block."""
+    uses = defs = 0
     for piece in block.pieces:
-        uses |= piece.reads() - defs
-        defs |= piece.writes()
+        uses |= register_mask(piece.reads()) & ~defs
+        defs |= register_mask(piece.writes())
     return uses, defs
 
 
@@ -165,33 +165,36 @@ def liveness(graph: FlowGraph) -> Dict[int, FrozenSet[Reg]]:
     """Live-in register sets per block (backward dataflow to a fixpoint).
 
     Blocks with unknown successors (indirect jumps, traps, stream exits)
-    conservatively treat **all** registers as live out.
+    conservatively treat **all** registers as live out.  The dataflow
+    runs on register masks, bit n for rn; each block's result is a
+    frozenset of :class:`Reg`.
     """
-    all_regs = frozenset(ALL_REGISTERS)
-    use: Dict[int, Set[Reg]] = {}
-    defs: Dict[int, Set[Reg]] = {}
-    for block in graph.blocks:
-        use[block.index], defs[block.index] = block_use_def(block)
-
-    live_in: Dict[int, Set[Reg]] = {b.index: set() for b in graph.blocks}
+    blocks = graph.blocks
+    use_def = [block_use_def(block) for block in blocks]
+    successors = [graph.successors[block.index] for block in blocks]
+    exits_stream = [
+        not succs
+        or isinstance(block.flow, (JumpIndirect, Trap))
+        or (block.target_label is not None and block.target_label not in graph.by_label)
+        for block, succs in zip(blocks, successors)
+    ]
+    every_register = register_mask(ALL_REGISTERS)
+    live_in = [0] * len(blocks)
     changed = True
     while changed:
         changed = False
-        for block in reversed(graph.blocks):
-            succs = graph.successors[block.index]
-            exits_stream = (
-                not succs
-                or isinstance(block.flow, (JumpIndirect, Trap))
-                or (
-                    block.target_label is not None
-                    and block.target_label not in graph.by_label
-                )
-            )
-            live_out: Set[Reg] = set(all_regs) if exits_stream else set()
-            for s in succs:
+        for index in range(len(blocks) - 1, -1, -1):
+            live_out = every_register if exits_stream[index] else 0
+            for s in successors[index]:
                 live_out |= live_in[s]
-            new_in = use[block.index] | (live_out - defs[block.index])
-            if new_in != live_in[block.index]:
-                live_in[block.index] = new_in
+            uses, defs = use_def[index]
+            new_in = uses | (live_out & ~defs)
+            if new_in != live_in[index]:
+                live_in[index] = new_in
                 changed = True
-    return {index: frozenset(regs) for index, regs in live_in.items()}
+    # blocks share few distinct live sets: build each frozenset once
+    sets: Dict[int, FrozenSet[Reg]] = {}
+    for mask in live_in:
+        if mask not in sets:
+            sets[mask] = frozenset(r for r in ALL_REGISTERS if mask >> r.number & 1)
+    return {index: sets[mask] for index, mask in enumerate(live_in)}

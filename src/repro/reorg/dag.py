@@ -13,31 +13,23 @@ displacements) need no edge; everything else is conservatively ordered
 be aliased").
 
 Construction summarizes every piece once (:class:`_Summary`), then
-visits each pair of pieces once.  A pair on which several dependence
-kinds apply gets one edge carrying the largest of their distances.  The
-graph is *not* transitively reduced: heights, scheduling readiness and
-the packer's independence test all read direct edges.
+visits each pair of pieces once, the earlier piece from the last to the
+first and the later one upward from it.  A pair on which several
+dependence kinds apply gets one edge carrying the largest of their
+distances.  Every later piece's height is known by the time its edge is
+written, so heights are taken in the same pass.  The graph is *not*
+transitively reduced: heights, scheduling readiness and the packer's
+independence test all read direct edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence
+from typing import Dict, List, Sequence
 
 from ..isa.pieces import Absolute, Displacement, Piece
-from ..isa.registers import NUM_REGISTERS, SpecialReg
+from ..isa.registers import register_mask
 from .pipeline_model import DepKind, is_barrier, min_distance
-
-#: register sets become bit masks: general registers take bits
-#: 0..NUM_REGISTERS-1, special registers the bits above them
-_SPECIAL_BITS = {sreg: 1 << (NUM_REGISTERS + k) for k, sreg in enumerate(SpecialReg)}
-
-
-def _register_mask(regs: Iterable) -> int:
-    mask = 0
-    for reg in regs:
-        mask |= _SPECIAL_BITS[reg] if isinstance(reg, SpecialReg) else 1 << reg.number
-    return mask
 
 
 @dataclass
@@ -64,8 +56,8 @@ class _Summary:
 
     def __init__(self, piece: Piece):
         #: general and special registers read / written, as bit masks
-        self.reads = _register_mask(piece.reads()) | _register_mask(piece.reads_special())
-        self.writes = _register_mask(piece.writes()) | _register_mask(piece.writes_special())
+        self.reads = register_mask(piece.reads()) | register_mask(piece.reads_special())
+        self.writes = register_mask(piece.writes()) | register_mask(piece.writes_special())
         #: barriers and flow pieces are ordered against every other piece
         self.pinned = is_barrier(piece) or piece.is_flow
         self.memory = piece.is_memory
@@ -74,7 +66,7 @@ class _Summary:
         #: absolute-addressed references may be device registers (I/O-like)
         self.absolute = isinstance(addr, Absolute)
         #: the disp(base) reference's base register bit (0 otherwise)
-        self.base = _register_mask((addr.base,)) if isinstance(addr, Displacement) else 0
+        self.base = register_mask((addr.base,)) if isinstance(addr, Displacement) else 0
         self.disp = addr.disp if isinstance(addr, Displacement) else 0
         #: the distance each dependence kind demands with this piece first
         self.raw = min_distance(piece, DepKind.RAW)
@@ -90,54 +82,55 @@ class DependenceDag:
     def __init__(self, pieces: Sequence[Piece]):
         self.nodes: List[DagNode] = [DagNode(i, p) for i, p in enumerate(pieces)]
         self._build()
-        self._compute_heights()
 
     def _build(self) -> None:
         nodes = self.nodes
         summaries = [_Summary(node.piece) for node in nodes]
-        for j, later in enumerate(summaries):
-            j_reads, j_writes, j_pinned = later.reads, later.writes, later.pinned
-            j_memory, j_base = later.memory, later.base
-            j_preds = nodes[j].preds
-            # whether any piece strictly between i and j rewrites j's
-            # base register, which defeats the displacement alias check
-            base_written = False
-            for i in range(j - 1, -1, -1):
-                earlier = summaries[i]
-                i_writes = earlier.writes
-                distance = earlier.order if j_pinned or earlier.pinned else -1
-                if i_writes & j_reads and earlier.raw > distance:
-                    distance = earlier.raw
-                if earlier.reads & j_writes and earlier.war > distance:
-                    distance = earlier.war
-                if i_writes & j_writes and earlier.waw > distance:
-                    distance = earlier.waw
-                if j_memory and earlier.memory and earlier.mem > distance:
+        heights = [0] * len(nodes)
+        for i in range(len(nodes) - 1, -1, -1):
+            earlier = summaries[i]
+            i_reads, i_writes, i_pinned = earlier.reads, earlier.writes, earlier.pinned
+            i_memory, i_base = earlier.memory, earlier.base
+            order, raw, war, waw = earlier.order, earlier.raw, earlier.war, earlier.waw
+            i_succs = nodes[i].succs
+            height = 0
+            # registers written by the pieces strictly between i and j: a
+            # rewritten base defeats the displacement alias check
+            between = 0
+            for j in range(i + 1, len(nodes)):
+                later = summaries[j]
+                j_writes = later.writes
+                distance = order if i_pinned or later.pinned else -1
+                if i_writes & later.reads and raw > distance:
+                    distance = raw
+                if i_reads & j_writes and war > distance:
+                    distance = war
+                if i_writes & j_writes and waw > distance:
+                    distance = waw
+                if i_memory and later.memory and earlier.mem > distance:
                     # absolute pairs (device registers) stay ordered; any
                     # other pair with a store does unless both use one
                     # unmodified base with different displacements
+                    j_base = later.base
                     if (earlier.absolute and later.absolute) or (
                         (earlier.store or later.store)
                         and not (
-                            j_base == earlier.base
+                            j_base == i_base
                             and j_base
-                            and not base_written
+                            and not j_base & between
                             and earlier.disp != later.disp
                         )
                     ):
                         distance = earlier.mem
                 if distance >= 0:
-                    nodes[i].succs[j] = distance
-                    j_preds[i] = distance
-                if j_base & i_writes:
-                    base_written = True
-
-    def _compute_heights(self) -> None:
-        for node in reversed(self.nodes):
-            if node.succs:
-                node.height = max(
-                    max(dist, 1) + self.nodes[s].height for s, dist in node.succs.items()
-                )
+                    i_succs[j] = distance
+                    nodes[j].preds[i] = distance
+                    # every edge costs at least one word on the path
+                    through = (distance if distance > 1 else 1) + heights[j]
+                    if through > height:
+                        height = through
+                between |= j_writes
+            heights[i] = nodes[i].height = height
 
     # -- queries -------------------------------------------------------------
 

@@ -111,10 +111,13 @@ def _resolve_word(word: InstructionWord, symbols: Dict[str, int]) -> Instruction
             return LoadImm(symbols[piece.label], piece.dst)
         return piece
 
+    mem = None if word.mem is None else resolve_piece(word.mem)
+    alu = None if word.alu is None else resolve_piece(word.alu)
+    if mem is word.mem and alu is word.alu:
+        return word  # names no label
     if word.is_packed:
-        assert word.mem is not None and word.alu is not None
-        return InstructionWord.packed(resolve_piece(word.mem), resolve_piece(word.alu))
-    return InstructionWord.single(resolve_piece(word.pieces[0]))
+        return InstructionWord.packed(mem, alu)
+    return InstructionWord.single(alu if mem is None else mem)
 
 
 def reorganize(

@@ -111,15 +111,15 @@ def schedule_block(
     def ready_nodes() -> List[int]:
         return [index for index in released if earliest[index] <= time]
 
+    #: the reordering priority: highest critical path first; memory
+    #: pieces break ties (they open a packing hole); then source order
+    #: for determinism
+    rank = [(node.height, node.piece.is_memory, -node.index) for node in nodes]
+
     def choose(candidates: List[int]) -> int:
         if not reorder:
             return min(candidates)  # source order
-        # highest critical path first; memory pieces break ties (they
-        # open a packing hole); then source order for determinism
-        return max(
-            candidates,
-            key=lambda i: (nodes[i].height, nodes[i].piece.is_memory, -i),
-        )
+        return max(candidates, key=rank.__getitem__)
 
     def independent(a: int, b: int) -> bool:
         """No ordering edge of distance >= 1 between the two nodes."""

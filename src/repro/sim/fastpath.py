@@ -13,14 +13,15 @@ Handlers are compiled once per *template* and instantiated per address.
 The emitters write every word-specific integer (register numbers,
 immediates, displacements, targets, ``pc + 1``) as a numbered slot, so
 words that differ only in those integers share one template text.  The
-first word with a given text pays one ``exec()``, compiled with unique
-sentinel constants whose positions in the code object's ``co_consts``
-are recorded; every later word is ``code.replace(co_consts=...)`` with
-its own values -- bytecode identical to compiling its literal source,
-at a fraction of the cost.  Emitters therefore never let two literals
-meet in one constant-foldable expression (e.g. an immediate's sign bias
-is applied at emit time), and template compilation asserts that every
-slot survived as its own constant.
+first word with a given text in the process pays one ``exec()``,
+compiled with unique sentinel constants whose positions in the code
+object's ``co_consts`` are recorded; every later word, on this engine or
+any other, is ``code.replace(co_consts=...)`` with its own values --
+bytecode identical to compiling its literal source, at a fraction of
+the cost.  Emitters therefore never let two literals meet in one
+constant-foldable expression (e.g. an immediate's sign bias is applied
+at emit time), and template compilation asserts that every slot
+survived as its own constant.
 
 The arithmetic is not written here: ALU results, overflow predicates and
 comparisons are rendered from the expression tables of
@@ -130,6 +131,35 @@ _MASK = 4294967295
 #: value a handler computes with, so no slot collides with a real literal
 _SENTINEL = 1 << 62
 
+#: template text -> (code, co_consts, slot indices into co_consts), for
+#: every engine in the process.  An entry is a pure function of its key
+#: and is never mutated: handlers get their own ``co_consts`` and their
+#: engine's globals, so sharing it changes no handler.
+_TEMPLATES: Dict[str, tuple] = {}
+
+
+def _compile_template(src: str, nslots: int) -> tuple:
+    """``(code, co_consts, slot indices)`` of template ``src``.
+
+    The first call with a given text in the process pays one ``exec()``:
+    ``src`` compiled with a unique sentinel per slot, and where each
+    sentinel landed in ``co_consts``.  Later calls return that entry.
+    """
+    template = _TEMPLATES.get(src)
+    if template is not None:
+        return template
+    sentinels = range(_SENTINEL, _SENTINEL + nslots)
+    namespace: Dict[str, object] = {}
+    exec(src.format(*sentinels), namespace)  # noqa: S102 - generating threaded-code handlers
+    code = namespace["_h"].__code__
+    consts = code.co_consts
+    for sentinel in sentinels:
+        # a slot folded into a neighbouring literal would leave every
+        # word of this template running the first word's constant
+        assert sentinel in consts, f"slot folded away in template:\n{src}"
+    template = _TEMPLATES[src] = (code, consts, tuple(consts.index(s) for s in sentinels))
+    return template
+
 
 class _Slots(list):
     """The word-specific integers of one emitted word, in slot order.
@@ -153,7 +183,7 @@ class EngineStats:
     must match across engines)."""
 
     compiles: int = 0        # words compiled into handlers
-    templates: int = 0       # handler templates compiled (one exec() each)
+    templates: int = 0       # distinct handler templates this engine used
     fallbacks: int = 0       # words screened out at compile time
     bails: int = 0           # handlers that punted pre-mutation at run time
     invalidations: int = 0   # code addresses written over (SMC, DMA, loader pokes)
@@ -262,7 +292,7 @@ class FastPathEngine:
         self.last_run_steps = 0
         self.stats = EngineStats()
         self._st = [-1, 0, -1, -1, 0]
-        #: template text -> (code, co_consts, slot indices into co_consts)
+        #: the templates this engine used, in front of the shared ones
         self._templates: Dict[str, tuple] = {}
         #: the globals every generated handler runs with
         self._env = self._globals() if self._supported else None
@@ -589,27 +619,13 @@ class FastPathEngine:
         src, ir = word
         template = self._templates.get(src)
         if template is None:
-            template = self._templates[src] = self._compile_template(src, len(ir.slots))
+            template = self._templates[src] = _compile_template(src, len(ir.slots))
+            self.stats.templates += 1
         code, consts, where = template
         consts = list(consts)
         for i, value in zip(where, ir.slots):
             consts[i] = value
         return FunctionType(code.replace(co_consts=tuple(consts)), self._env), ir.delta
-
-    def _compile_template(self, src: str, nslots: int) -> tuple:
-        """One ``exec()``: compile ``src`` with a unique sentinel per slot
-        and find where each sentinel landed in ``co_consts``."""
-        self.stats.templates += 1
-        sentinels = range(_SENTINEL, _SENTINEL + nslots)
-        namespace: Dict[str, object] = {}
-        exec(src.format(*sentinels), namespace)  # noqa: S102 - generating threaded-code handlers
-        code = namespace["_h"].__code__
-        consts = code.co_consts
-        for sentinel in sentinels:
-            # a slot folded into a neighbouring literal would leave every
-            # word of this template running the first word's constant
-            assert sentinel in consts, f"slot folded away in template:\n{src}"
-        return code, consts, tuple(consts.index(s) for s in sentinels)
 
     def _emit_word(self, ctx: _Context, pc: int, bits: int):
         """Emit the straight-line IR of word ``bits`` fetched at ``pc``.

@@ -54,7 +54,7 @@ from repro.isa.words import InstructionWord
 from repro.mjlang import compile_minijava
 from repro.perf.baseline import GATE_PROGRAMS
 from repro.reorg import OptLevel
-from repro.sim import HazardMode, HazardViolation, Machine, state_fingerprint
+from repro.sim import HazardMode, HazardViolation, Machine, fastpath, state_fingerprint
 from repro.sim.cpu import Cpu
 from repro.sim.faults import BusError, OverflowTrap, PageFault, TrapInstruction
 from repro.sim.fastpath import _FALLBACK
@@ -605,6 +605,29 @@ def test_template_handlers_match_literal_source(mode):
         compiles += engine.stats.compiles
         templates += engine.stats.templates
     assert 0 < templates < compiles / 4
+
+
+def test_templates_compile_once_per_process(monkeypatch):
+    """A second engine in the same process compiles no template again: it
+    makes no ``exec()``, counts the same templates as the first, and each
+    of its handlers is still bytecode-identical to its literal source."""
+    program = compile_source(CORPUS["scanner"]).program
+    first = Machine(program, inputs=[7, 3, 9])
+    first.run(60_000_000)
+    sources = []
+
+    def counting_exec(source, namespace):
+        sources.append(source)
+        exec(source, namespace)  # noqa: S102 - the engine's own template text
+
+    monkeypatch.setattr(fastpath, "exec", counting_exec, raising=False)
+    second = Machine(program, inputs=[7, 3, 9])
+    second.run(60_000_000)
+    engine = second.cpu.fastpath()
+    assert sources == []
+    assert engine.stats.templates == first.cpu.fastpath().stats.templates > 0
+    assert _assert_handlers_are_literal_source(engine) == engine.stats.compiles
+    assert second.output == first.output
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "none:" in out and "branch-delay:" in out
 
+    def test_reorg_main_reorganizes_each_level_once(self, tmp_path, capsys, monkeypatch):
+        """The listing of ``--level`` reuses that level's summary run."""
+        from repro import reorg
+        from repro.cli import reorg_main
+
+        levels = []
+        real = reorg.reorganize
+
+        def counting(stream, level, *args, **kwargs):
+            levels.append(level)
+            return real(stream, level, *args, **kwargs)
+
+        monkeypatch.setattr(reorg, "reorganize", counting)
+        source_file = tmp_path / "p.s"
+        source_file.write_text("start: ld 0(r1), r2\nadd r2, r3, r4\ntrap #0")
+        assert reorg_main([str(source_file), "--level", "pack"]) == 0
+        assert levels == reorg.ALL_LEVELS
+        out = capsys.readouterr().out
+        assert "; pack: 4 words *" in out
+
     def test_experiments_main_rejects_unknown(self):
         from repro.cli import experiments_main
 

@@ -584,6 +584,14 @@ class _OracleDag(DependenceDag):
                     if later.addr.base in i_writes:
                         base_written = True
 
+        # heights by their definition: the longest path to a sink, each
+        # edge counting at least one word (edges run from lower indices)
+        for node in reversed(self.nodes):
+            node.height = max(
+                (max(dist, 1) + self.nodes[s].height for s, dist in node.succs.items()),
+                default=0,
+            )
+
 
 def _oracle_schedule(block, *, reorder, pack):
     """The list scheduler that rescans every node for readiness."""
@@ -769,6 +777,77 @@ class TestMatchesPairwiseOracle:
                 got = schedule_block(block, reorder=reorder, pack=pack)
                 want = _oracle_schedule(block, reorder=reorder, pack=pack)
                 assert (got.words, got.flow_pos) == (want.words, want.flow_pos)
+
+
+# -- liveness against the set-based definition --------------------------------
+
+
+def _oracle_liveness(graph):
+    """Live-in registers per block, by the set-based backward dataflow:
+    uses are reads not preceded by a write in the block, and a block that
+    may leave the stream has every register live out."""
+    use, defs = {}, {}
+    for block in graph.blocks:
+        use[block.index], defs[block.index] = set(), set()
+        for piece in block.pieces:
+            use[block.index] |= piece.reads() - defs[block.index]
+            defs[block.index] |= piece.writes()
+    live_in = {block.index: set() for block in graph.blocks}
+    changed = True
+    while changed:
+        changed = False
+        for block in reversed(graph.blocks):
+            succs = graph.successors[block.index]
+            exits_stream = (
+                not succs
+                or isinstance(block.flow, (JumpIndirect, Trap))
+                or (block.target_label is not None and block.target_label not in graph.by_label)
+            )
+            live_out = {Reg(n) for n in range(16)} if exits_stream else set()
+            for s in succs:
+                live_out |= live_in[s]
+            new_in = use[block.index] | (live_out - defs[block.index])
+            if new_in != live_in[block.index]:
+                live_in[block.index] = new_in
+                changed = True
+    return {index: frozenset(regs) for index, regs in live_in.items()}
+
+
+#: branch targets: the stream's own block labels, which a drawn stream
+#: may or may not place, and one that never lies in it
+_stream_targets = st.sampled_from(["B0", "B1", "B2", "B3", "B4", "outside"])
+_stream_flow = st.one_of(
+    st.none(),
+    st.builds(
+        CompareBranch, st.sampled_from(list(Comparison)), _operands, _operands, _stream_targets
+    ),
+    st.builds(Jump, _stream_targets, st.booleans()),
+    st.builds(JumpIndirect, st.sampled_from([Reg(15), Reg(2)]), st.booleans()),
+    st.builds(Trap, st.integers(0, 3)),
+)
+
+
+@st.composite
+def _streams(draw):
+    """A labeled piece stream of up to six segments, each an optional
+    label, a few body pieces and an optional flow piece."""
+    stream = []
+    for k in range(draw(st.integers(1, 6))):
+        pieces = draw(st.lists(_body_piece, max_size=4))
+        flow = draw(_stream_flow)
+        if flow is not None:
+            pieces.append(flow)
+        pieces = pieces or [Noop()]
+        stream.append((f"B{k}" if draw(st.booleans()) else None, pieces[0]))
+        stream.extend((None, piece) for piece in pieces[1:])
+    return stream
+
+
+@given(_streams())
+@settings(max_examples=150, deadline=None)
+def test_liveness_matches_set_oracle(stream):
+    graph = FlowGraph.build(stream)
+    assert liveness(graph) == _oracle_liveness(graph)
 
 
 # -- work guard: per-piece facts are computed a constant number of times -----

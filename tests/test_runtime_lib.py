@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.asm import assemble
+from repro.asm import assemble, assemble_pieces
+from repro.compiler import runtime
+from repro.compiler.runtime import DIVMOD_SOURCE, MUL_SOURCE, runtime_stream
 from repro.isa.bits import s32, u32
+from repro.isa.pieces import Noop
 from repro.sim import HazardMode, Machine, TrapInstruction
-from repro.compiler.runtime import DIVMOD_SOURCE, MUL_SOURCE
 
 HARNESS = """
 start:  lim #{a}, r2
@@ -116,3 +118,20 @@ class TestDivMod:
         remainder = call_runtime("__divmod", a, b, "r4")
         assert quotient * b + remainder == a
         assert abs(remainder) < abs(b)
+
+
+def test_runtime_stream_assembles_once_and_returns_new_lists(monkeypatch):
+    """Two calls with the same flags assemble the routines at most once
+    between them, and each returns a list of its own."""
+    calls = []
+
+    def counting(source):
+        calls.append(source)
+        return assemble_pieces(source)
+
+    monkeypatch.setattr(runtime, "assemble_pieces", counting)
+    first = runtime_stream(True, True, True)
+    first.append((None, Noop()))
+    second = runtime_stream(True, True, True)
+    assert len(calls) <= 1
+    assert second == first[:-1]
