@@ -1,9 +1,11 @@
-# The local loop, matched to CI job-for-job (see .github/workflows/ci.yml).
-# Two CI steps have no target here: the wall-clock overhead-ratio tests
-# benchmarks/test_perf_overhead.py (perf-gate job) and
-# benchmarks/test_chaos_overhead.py (chaos-smoke job).  They are noise-bound
-# on a shared host, and ROADMAP item 6 plans to replace them with exact
-# opcode-count tests; run them with `python -m pytest -q benchmarks/`.
+# Every check, written once: CI's jobs run these targets (see
+# .github/workflows/ci.yml), so a local run and a CI run take the same
+# arguments and leave the same /tmp outputs.  Two CI steps have no target
+# here: the wall-clock overhead-ratio tests benchmarks/test_perf_overhead.py
+# (perf-gate job) and benchmarks/test_chaos_overhead.py (chaos-smoke job).
+# They are noise-bound on a shared host, and ROADMAP item 6 plans to replace
+# them with exact opcode-count tests; run them with
+# `python -m pytest -q benchmarks/`.
 
 PYTHON ?= python
 export PYTHONPATH := src
@@ -30,8 +32,8 @@ bench-selftest:
 ## perf-gate: the blocking deterministic gates -- cycle counts and the
 ## paper claims
 perf-gate:
-	$(PYTHON) -m repro.perf cycles
-	$(PYTHON) -m repro.perf claims
+	$(PYTHON) -m repro.perf cycles --jobs 2
+	$(PYTHON) -m repro.perf claims --jobs 2
 
 ## experiments-check: EXPERIMENTS.md regenerates byte-identical
 experiments-check:
@@ -42,8 +44,8 @@ experiments-check:
 ## stepper and the fast path, then farm records, the MiniJava corpus at
 ## every level and the MiniJava examples (tools/engine_differential.py)
 engine-differential:
-	$(PYTHON) -m repro.perf corpus --engine precise > /tmp/profiles-precise.jsonl
-	$(PYTHON) -m repro.perf corpus --engine fast > /tmp/profiles-fast.jsonl
+	$(PYTHON) -m repro.perf corpus --jobs 2 --engine precise > /tmp/profiles-precise.jsonl
+	$(PYTHON) -m repro.perf corpus --jobs 2 --engine fast > /tmp/profiles-fast.jsonl
 	cmp /tmp/profiles-precise.jsonl /tmp/profiles-fast.jsonl
 	$(PYTHON) tools/engine_differential.py
 
@@ -71,13 +73,21 @@ chaos-smoke:
 	$(PYTHON) -m repro.chaos run --seed 42 --engine fast
 
 ## fuzz-smoke: the fixed-seed 500-case batch checks out clean and its
-## stable records are byte-identical at --jobs 1 and 2 (prints the digest)
+## stable records are byte-identical at --jobs 1 and 2 (prints the digest);
+## an instruction-stream sweep at a second seed; the 120-case MiniJava
+## batch checks out clean and is byte-identical at --jobs 1 and 2
 fuzz-smoke:
 	$(PYTHON) -m repro.fuzz run --cases 500 --seed 1982 --fuzz-mode both \
 		--jobs 1 --stable-results /tmp/fuzz-serial.jsonl
 	$(PYTHON) -m repro.fuzz run --cases 500 --seed 1982 --fuzz-mode both \
 		--jobs 2 --stable-results /tmp/fuzz-sharded.jsonl
 	cmp /tmp/fuzz-serial.jsonl /tmp/fuzz-sharded.jsonl
+	$(PYTHON) -m repro.fuzz run --cases 300 --seed 42 --fuzz-mode words --jobs 2
+	$(PYTHON) -m repro.fuzz run --cases 120 --seed 2026 --fuzz-mode minijava \
+		--jobs 1 --stable-results /tmp/fuzz-mj-serial.jsonl
+	$(PYTHON) -m repro.fuzz run --cases 120 --seed 2026 --fuzz-mode minijava \
+		--jobs 2 --stable-results /tmp/fuzz-mj-sharded.jsonl
+	cmp /tmp/fuzz-mj-serial.jsonl /tmp/fuzz-mj-sharded.jsonl
 
 claims:
 	$(PYTHON) -m repro.perf claims

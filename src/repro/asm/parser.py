@@ -440,8 +440,8 @@ class _SymbolicLim(Piece):
         self.symbol = symbol
         self.dst = dst
 
-    def writes(self):
-        return frozenset({self.dst})
+    def writes(self) -> int:
+        return self.dst.mask
 
     def __repr__(self) -> str:
         return f"lim {self.symbol},{self.dst!r}"

@@ -8,9 +8,11 @@ Conventions
 -----------
 
 Registers: ``r1`` function result / trap argument; ``r2``-``r7``
-expression temporaries (caller-saved); ``r8``-``r11`` register-allocated
-locals (callee-saved); ``r12`` frame pointer; ``r14`` stack pointer;
-``r15`` return address.
+expression temporaries (caller-saved); ``r8``-``r10`` register-allocated
+locals (callee-saved); ``r11`` the globals base (the global pointer, set
+once at program start, so scalar globals are reached with short
+displacements -- the packable form); ``r12`` frame pointer; ``r14``
+stack pointer; ``r15`` return address.
 
 Frame (stack grows down, word addressed)::
 
@@ -74,9 +76,8 @@ from ..reorg.blocks import LabeledPiece
 from .layout import BYTES_PER_WORD, Layout, LayoutStrategy
 
 TEMP_REGS = [2, 3, 4, 5, 6, 7]
-SAVED_REGS = [8, 9, 10, 11]
-#: when the global-pointer convention is on, r11 holds the globals base
-#: for the whole run and leaves the allocatable pool
+#: r11 holds the globals base for the whole run (era code generators used
+#: exactly this base-register discipline), so locals are allocated to r8-r10
 GP_REG = Reg(11)
 SAVED_REGS_WITH_GP = [8, 9, 10]
 RESULT_REG = Reg(1)
@@ -101,10 +102,6 @@ class CompileOptions:
     layout: LayoutStrategy = LayoutStrategy.WORD_ALLOCATED
     boolean_strategy: BooleanStrategy = BooleanStrategy.SET_CONDITIONALLY
     register_allocation: bool = True
-    #: keep the globals base in r11 so scalar globals are reached with
-    #: short displacements (the packable form); era code generators used
-    #: exactly this base-register discipline
-    use_global_pointer: bool = True
     #: word address where the globals region begins
     globals_base: int = 8192
 
@@ -325,12 +322,6 @@ class CodeGenerator:
             addr += self.layout.type_words(symbol.type)
         self.globals_words = addr - self.options.globals_base
 
-    @property
-    def saved_regs(self) -> List[int]:
-        if self.options.use_global_pointer:
-            return SAVED_REGS_WITH_GP
-        return SAVED_REGS
-
     def generate(self) -> CompiledUnit:
         """Generate the whole program: main body first, then routines."""
         self._gen_main()
@@ -359,8 +350,7 @@ class CodeGenerator:
         if self.options.register_allocation:
             self._allocate_main_globals()
         self.emit_label("start")
-        if self.options.use_global_pointer:
-            self.emit(LoadImm(self.options.globals_base, GP_REG))
+        self.emit(LoadImm(self.options.globals_base, GP_REG))
         # main gets a frame for hidden slots (for-loop limits, spills)
         self.emit(Alu(AluOp.MOV, SP, Imm(0), FP))
         frame_fixup = len(self.stream)
@@ -428,7 +418,7 @@ class CodeGenerator:
             if count > 2:
                 candidates.append((count, name))
         candidates.sort(reverse=True)
-        for (count, name), number in zip(candidates, self.saved_regs):
+        for (count, name), number in zip(candidates, SAVED_REGS_WITH_GP):
             self.places[name] = _VarPlace(
                 self.program.globals[name], "reg", reg=Reg(number)
             )
@@ -614,7 +604,7 @@ class CodeGenerator:
             # memory references per call: only promote variables whose
             # weighted use count amortizes that
             worthwhile = [(c, n) for c, n in candidates if c > 4]
-            for (count, name), number in zip(worthwhile, self.saved_regs):
+            for (count, name), number in zip(worthwhile, SAVED_REGS_WITH_GP):
                 reg_assignment[name] = Reg(number)
 
         # lay out the frame
@@ -714,10 +704,7 @@ class CodeGenerator:
             place = self._place(expr.name)
             char = place.symbol.type.is_byte_natured
             if place.kind == "global":
-                if self.options.use_global_pointer:
-                    offset = place.addr - self.options.globals_base
-                    return Loc(False, GP_REG, offset, char)
-                return Loc(False, None, place.addr, char)
+                return Loc(False, GP_REG, place.addr - self.options.globals_base, char)
             if place.kind == "frame":
                 return Loc(False, FP, place.fp_offset, char)
             if place.kind == "byref":

@@ -11,17 +11,19 @@ The compiler's code generator emits a stream of pieces; the postpass
 reorganizer (:mod:`repro.reorg`) schedules them and packs compatible
 pieces into :class:`repro.isa.words.InstructionWord` objects.
 
-Every piece reports the registers it reads and writes -- the dependence
-information the reorganizer's DAG construction consumes.
+Every piece reports the registers it reads and writes, each as one
+register set (a bit mask, laid out in :mod:`repro.isa.registers`) -- the
+one fact per piece that the reorganizer's dependence DAG, liveness and
+delay-slot filler, and both simulator engines' load-delay checks consume.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, Optional, Union
+from typing import Optional, Union
 
 from .operations import AluOp, Comparison
-from .registers import Reg, SpecialReg
+from .registers import RA, Reg, SpecialReg
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,9 @@ class Imm:
     """
 
     value: int
+
+    #: the register set an operand reads: an immediate reads none
+    mask = 0
 
     def __post_init__(self) -> None:
         if not 0 <= self.value <= 15:
@@ -48,13 +53,6 @@ Operand = Union[Reg, Imm]
 Target = Union[str, int]
 
 
-def operand_reads(operand: Operand) -> FrozenSet[Reg]:
-    """Registers read by an operand (empty for immediates)."""
-    if isinstance(operand, Reg):
-        return frozenset({operand})
-    return frozenset()
-
-
 class Piece:
     """Base class for all instruction pieces."""
 
@@ -68,21 +66,13 @@ class Piece:
     #: requires supervisor privilege
     privileged = False
 
-    def reads(self) -> FrozenSet[Reg]:
-        """General registers this piece reads."""
-        return frozenset()
+    def reads(self) -> int:
+        """The register set (general and special) this piece reads."""
+        return 0
 
-    def writes(self) -> FrozenSet[Reg]:
-        """General registers this piece writes."""
-        return frozenset()
-
-    def reads_special(self) -> FrozenSet[SpecialReg]:
-        """Special registers this piece reads."""
-        return frozenset()
-
-    def writes_special(self) -> FrozenSet[SpecialReg]:
-        """Special registers this piece writes."""
-        return frozenset()
+    def writes(self) -> int:
+        """The register set (general and special) this piece writes."""
+        return 0
 
     @property
     def is_memory(self) -> bool:
@@ -116,22 +106,17 @@ class Alu(Piece):
     s2: Operand
     dst: Reg
 
-    def reads(self) -> FrozenSet[Reg]:
+    def reads(self) -> int:
         if self.op in (AluOp.MOV, AluOp.NOT):
-            return operand_reads(self.s1)
-        regs = operand_reads(self.s1) | operand_reads(self.s2)
+            return self.s1.mask
         if self.op is AluOp.IC:
-            # insert byte rewrites part of dst: the old value is an input
-            regs |= {self.dst}
-        return regs
+            # insert byte rewrites the byte of dst that LO selects: the
+            # old value is an input
+            return self.s1.mask | self.s2.mask | self.dst.mask | SpecialReg.LO.mask
+        return self.s1.mask | self.s2.mask
 
-    def writes(self) -> FrozenSet[Reg]:
-        return frozenset({self.dst})
-
-    def reads_special(self) -> FrozenSet[SpecialReg]:
-        if self.op is AluOp.IC:
-            return frozenset({SpecialReg.LO})
-        return frozenset()
+    def writes(self) -> int:
+        return self.dst.mask
 
     def __repr__(self) -> str:
         if self.op in (AluOp.MOV, AluOp.NOT):
@@ -155,8 +140,8 @@ class MovImm(Piece):
         if not 0 <= self.value <= 255:
             raise ValueError(f"movi constant out of range 0..255: {self.value}")
 
-    def writes(self) -> FrozenSet[Reg]:
-        return frozenset({self.dst})
+    def writes(self) -> int:
+        return self.dst.mask
 
     def __repr__(self) -> str:
         return f"movi #{self.value},{self.dst!r}"
@@ -180,8 +165,8 @@ class LoadImm(Piece):
         if not -self.LIMIT <= self.value < self.LIMIT:
             raise ValueError(f"long immediate out of range: {self.value}")
 
-    def writes(self) -> FrozenSet[Reg]:
-        return frozenset({self.dst})
+    def writes(self) -> int:
+        return self.dst.mask
 
     def __repr__(self) -> str:
         return f"lim #{self.value},{self.dst!r}"
@@ -201,8 +186,8 @@ class LoadLabel(Piece):
     label: str
     dst: Reg
 
-    def writes(self) -> FrozenSet[Reg]:
-        return frozenset({self.dst})
+    def writes(self) -> int:
+        return self.dst.mask
 
     def __repr__(self) -> str:
         return f"lim {self.label},{self.dst!r}"
@@ -223,8 +208,8 @@ class Absolute:
         if not 0 <= self.addr < (1 << 21):
             raise ValueError(f"absolute address out of range: {self.addr}")
 
-    def reads(self) -> FrozenSet[Reg]:
-        return frozenset()
+    def reads(self) -> int:
+        return 0
 
     def __repr__(self) -> str:
         return f"@{self.addr}"
@@ -243,8 +228,8 @@ class Displacement:
         if not -self.LIMIT <= self.disp < self.LIMIT:
             raise ValueError(f"displacement out of range: {self.disp}")
 
-    def reads(self) -> FrozenSet[Reg]:
-        return frozenset({self.base})
+    def reads(self) -> int:
+        return self.base.mask
 
     def __repr__(self) -> str:
         return f"{self.disp}({self.base!r})"
@@ -257,8 +242,8 @@ class BaseIndex:
     base: Reg
     index: Reg
 
-    def reads(self) -> FrozenSet[Reg]:
-        return frozenset({self.base, self.index})
+    def reads(self) -> int:
+        return self.base.mask | self.index.mask
 
     def __repr__(self) -> str:
         return f"({self.base!r}+{self.index!r})"
@@ -280,8 +265,8 @@ class BaseShifted:
         if not 1 <= self.shift <= 4:
             raise ValueError(f"base shift out of range 1..4: {self.shift}")
 
-    def reads(self) -> FrozenSet[Reg]:
-        return frozenset({self.base})
+    def reads(self) -> int:
+        return self.base.mask
 
     def __repr__(self) -> str:
         return f"({self.base!r}>>{self.shift})"
@@ -306,11 +291,11 @@ class Load(Piece):
     note: Optional[str] = field(default=None, compare=False, repr=False)
     is_load = True
 
-    def reads(self) -> FrozenSet[Reg]:
+    def reads(self) -> int:
         return self.addr.reads()
 
-    def writes(self) -> FrozenSet[Reg]:
-        return frozenset({self.dst})
+    def writes(self) -> int:
+        return self.dst.mask
 
     def __repr__(self) -> str:
         return f"ld {self.addr!r},{self.dst!r}"
@@ -326,8 +311,8 @@ class Store(Piece):
     note: Optional[str] = field(default=None, compare=False, repr=False)
     is_store = True
 
-    def reads(self) -> FrozenSet[Reg]:
-        return self.addr.reads() | {self.src}
+    def reads(self) -> int:
+        return self.addr.reads() | self.src.mask
 
     def __repr__(self) -> str:
         return f"st {self.src!r},{self.addr!r}"
@@ -348,11 +333,11 @@ class SetCond(Piece):
     s2: Operand
     dst: Reg
 
-    def reads(self) -> FrozenSet[Reg]:
-        return operand_reads(self.s1) | operand_reads(self.s2)
+    def reads(self) -> int:
+        return self.s1.mask | self.s2.mask
 
-    def writes(self) -> FrozenSet[Reg]:
-        return frozenset({self.dst})
+    def writes(self) -> int:
+        return self.dst.mask
 
     def __repr__(self) -> str:
         return f"s{self.cond.value} {self.s1!r},{self.s2!r},{self.dst!r}"
@@ -374,8 +359,8 @@ class CompareBranch(Piece):
     is_flow = True
     delay_slots = 1
 
-    def reads(self) -> FrozenSet[Reg]:
-        return operand_reads(self.s1) | operand_reads(self.s2)
+    def reads(self) -> int:
+        return self.s1.mask | self.s2.mask
 
     def __repr__(self) -> str:
         return f"b{self.cond.value} {self.s1!r},{self.s2!r},{self.target}"
@@ -393,10 +378,8 @@ class Jump(Piece):
     is_flow = True
     delay_slots = 1
 
-    def writes(self) -> FrozenSet[Reg]:
-        from .registers import RA
-
-        return frozenset({RA}) if self.link else frozenset()
+    def writes(self) -> int:
+        return RA.mask if self.link else 0
 
     def __repr__(self) -> str:
         return f"{'jal' if self.link else 'jmp'} {self.target}"
@@ -415,13 +398,11 @@ class JumpIndirect(Piece):
     is_flow = True
     delay_slots = 2
 
-    def reads(self) -> FrozenSet[Reg]:
-        return frozenset({self.reg})
+    def reads(self) -> int:
+        return self.reg.mask
 
-    def writes(self) -> FrozenSet[Reg]:
-        from .registers import RA
-
-        return frozenset({RA}) if self.link else frozenset()
+    def writes(self) -> int:
+        return RA.mask if self.link else 0
 
     def __repr__(self) -> str:
         return f"{'jalr' if self.link else 'jmpr'} {self.reg!r}"
@@ -476,11 +457,11 @@ class ReadSpecial(Piece):
     sreg: SpecialReg
     dst: Reg
 
-    def reads_special(self) -> FrozenSet[SpecialReg]:
-        return frozenset({self.sreg})
+    def reads(self) -> int:
+        return self.sreg.mask
 
-    def writes(self) -> FrozenSet[Reg]:
-        return frozenset({self.dst})
+    def writes(self) -> int:
+        return self.dst.mask
 
     @property
     def privileged(self) -> bool:  # type: ignore[override]
@@ -501,11 +482,11 @@ class WriteSpecial(Piece):
     sreg: SpecialReg
     src: Operand
 
-    def reads(self) -> FrozenSet[Reg]:
-        return operand_reads(self.src)
+    def reads(self) -> int:
+        return self.src.mask
 
-    def writes_special(self) -> FrozenSet[SpecialReg]:
-        return frozenset({self.sreg})
+    def writes(self) -> int:
+        return self.sreg.mask
 
     @property
     def privileged(self) -> bool:  # type: ignore[override]

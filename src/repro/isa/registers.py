@@ -23,13 +23,18 @@ registers reachable only by dedicated instructions: the byte-selector
 register ``lo`` used by insert-byte, the *surprise register* (the
 machine's entire miscellaneous state -- see :mod:`repro.system.surprise`),
 and the on-chip segmentation registers.
+
+Register sets -- the registers a piece reads or writes, the registers
+live into a block -- are bit masks (plain ints): ``rn`` takes bit n, and
+the k-th :class:`SpecialReg`, in declaration order, takes bit
+``NUM_REGISTERS + k``.  :attr:`Reg.mask` and :attr:`SpecialReg.mask` give
+one register's bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Union
 
 NUM_REGISTERS = 16
 
@@ -64,6 +69,11 @@ class Reg:
         """Assembly name, preferring the conventional alias if any."""
         return ALIAS_BY_NUMBER.get(self.number, f"r{self.number}")
 
+    @property
+    def mask(self) -> int:
+        """This register's bit in a register set."""
+        return 1 << self.number
+
 
 class SpecialReg(Enum):
     """Special registers outside the general file.
@@ -89,6 +99,14 @@ class SpecialReg(Enum):
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 
+    @property
+    def mask(self) -> int:
+        """This register's bit in a register set, above the general file."""
+        return _SPECIAL_MASKS[self]
+
+
+_SPECIAL_MASKS = {sreg: 1 << (NUM_REGISTERS + k) for k, sreg in enumerate(SpecialReg)}
+
 
 def reg(number_or_name) -> Reg:
     """Build a :class:`Reg` from a number, an ``rN`` string, or an alias."""
@@ -111,16 +129,6 @@ AP = Reg(13)
 SP = Reg(14)
 RA = Reg(15)
 
-ALL_REGISTERS = tuple(Reg(n) for n in range(NUM_REGISTERS))
-
-#: register sets as bit masks: ``rn`` takes bit n, and the special
-#: registers the bits above the general file
-_SPECIAL_BITS = {sreg: 1 << (NUM_REGISTERS + k) for k, sreg in enumerate(SpecialReg)}
-
-
-def register_mask(regs: Iterable[Union[Reg, SpecialReg]]) -> int:
-    """The bit mask of a set of general and special registers."""
-    mask = 0
-    for r in regs:
-        mask |= _SPECIAL_BITS[r] if isinstance(r, SpecialReg) else 1 << r.number
-    return mask
+#: the set of every special register, and of every register
+SPECIAL_REGISTERS = sum(sreg.mask for sreg in SpecialReg)
+ALL_REGISTERS = ((1 << NUM_REGISTERS) - 1) | SPECIAL_REGISTERS

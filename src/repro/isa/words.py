@@ -25,7 +25,7 @@ machinery honors this.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import FrozenSet, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .operations import PACKABLE_ALU_OPS, AluOp
 from .pieces import (
@@ -125,8 +125,7 @@ def packing_obstacle(mem: Piece, alu: Piece) -> Optional[str]:
     else:
         return f"ALU slot cannot hold {type(alu).__name__}"
 
-    mem_writes = mem.writes()
-    if mem_writes and mem_writes & alu.writes():
+    if mem.writes() & alu.writes():
         return "both pieces write the same register"
     return None
 
@@ -209,14 +208,16 @@ class InstructionWord:
         """
         return self.mem is not None
 
-    def reads(self) -> FrozenSet[Reg]:
-        out: FrozenSet[Reg] = frozenset()
+    def reads(self) -> int:
+        """The register set the word's pieces read."""
+        out = 0
         for piece in self.pieces:
             out |= piece.reads()
         return out
 
-    def writes(self) -> FrozenSet[Reg]:
-        out: FrozenSet[Reg] = frozenset()
+    def writes(self) -> int:
+        """The register set the word's pieces write."""
+        out = 0
         for piece in self.pieces:
             out |= piece.writes()
         return out

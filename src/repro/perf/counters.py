@@ -188,18 +188,12 @@ def _pct(numerator: float, denominator: float) -> float:
     return round(100.0 * numerator / denominator, 2) if denominator else 0.0
 
 
-def collect(
-    cpu,
-    *,
-    profiler=None,
-    pagemap=None,
-    dma=None,
-) -> Dict[str, Dict[str, object]]:
+def collect(cpu, *, pagemap=None, dma=None) -> Dict[str, Dict[str, object]]:
     """Sample every counter group from a CPU (and optional system parts).
 
-    ``profiler`` defaults to ``cpu.profiler``; the per-PC-derived groups
-    (``mix``, ``immediates``, ``control``) need one attached *before*
-    the run and come back empty otherwise.  Words are resolved through
+    The per-PC-derived groups (``mix``, ``immediates``, ``control``)
+    need a profiler attached to the CPU *before* the run and come back
+    empty otherwise.  Words are resolved through
     the CPU's decode cache, which holds the current word at every
     executed address (self-modified addresses report their final form).
 
@@ -209,7 +203,7 @@ def collect(
     single word, and which word the cache last held depends on the
     engine.
     """
-    profiler = profiler if profiler is not None else cpu.profiler
+    profiler = cpu.profiler
     stats = cpu.stats
 
     counts: Dict[int, int] = {}

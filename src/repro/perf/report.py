@@ -51,8 +51,6 @@ def build_profile(
     *,
     top: Optional[int] = None,
     name: Optional[str] = None,
-    pagemap=None,
-    dma=None,
 ) -> Dict[str, object]:
     """Assemble the deterministic profile dict for a finished run.
 
@@ -80,7 +78,7 @@ def build_profile(
         "version": PROFILE_VERSION,
         "total_cycles": total,
         "hot": hot,
-        "counters": stable_groups(collect(cpu, pagemap=pagemap, dma=dma)),
+        "counters": stable_groups(collect(cpu)),
         "events": profiler.events,
         "events_dropped": profiler.events_dropped,
     }

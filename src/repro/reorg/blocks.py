@@ -12,10 +12,10 @@ classic backward dataflow over the block graph.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..isa.pieces import CompareBranch, Jump, JumpIndirect, Piece, Trap
-from ..isa.registers import ALL_REGISTERS, Reg, register_mask
+from ..isa.registers import ALL_REGISTERS
 
 #: a piece possibly carrying a label ("entry point" marker)
 LabeledPiece = Tuple[Optional[str], Piece]
@@ -152,22 +152,22 @@ class FlowGraph:
 
 
 def block_use_def(block: BasicBlock) -> Tuple[int, int]:
-    """(use, def) as register masks, bit n for rn: registers read before
-    written / written in the block."""
+    """(use, def) register sets: registers read before written / written
+    in the block."""
     uses = defs = 0
     for piece in block.pieces:
-        uses |= register_mask(piece.reads()) & ~defs
-        defs |= register_mask(piece.writes())
+        uses |= piece.reads() & ~defs
+        defs |= piece.writes()
     return uses, defs
 
 
-def liveness(graph: FlowGraph) -> Dict[int, FrozenSet[Reg]]:
-    """Live-in register sets per block (backward dataflow to a fixpoint).
+def liveness(graph: FlowGraph) -> List[int]:
+    """The register set live into each block, indexed by block index
+    (backward dataflow to a fixpoint).
 
     Blocks with unknown successors (indirect jumps, traps, stream exits)
-    conservatively treat **all** registers as live out.  The dataflow
-    runs on register masks, bit n for rn; each block's result is a
-    frozenset of :class:`Reg`.
+    conservatively treat **all** registers, the special ones included,
+    as live out.
     """
     blocks = graph.blocks
     use_def = [block_use_def(block) for block in blocks]
@@ -178,13 +178,12 @@ def liveness(graph: FlowGraph) -> Dict[int, FrozenSet[Reg]]:
         or (block.target_label is not None and block.target_label not in graph.by_label)
         for block, succs in zip(blocks, successors)
     ]
-    every_register = register_mask(ALL_REGISTERS)
     live_in = [0] * len(blocks)
     changed = True
     while changed:
         changed = False
         for index in range(len(blocks) - 1, -1, -1):
-            live_out = every_register if exits_stream[index] else 0
+            live_out = ALL_REGISTERS if exits_stream[index] else 0
             for s in successors[index]:
                 live_out |= live_in[s]
             uses, defs = use_def[index]
@@ -192,9 +191,4 @@ def liveness(graph: FlowGraph) -> Dict[int, FrozenSet[Reg]]:
             if new_in != live_in[index]:
                 live_in[index] = new_in
                 changed = True
-    # blocks share few distinct live sets: build each frozenset once
-    sets: Dict[int, FrozenSet[Reg]] = {}
-    for mask in live_in:
-        if mask not in sets:
-            sets[mask] = frozenset(r for r in ALL_REGISTERS if mask >> r.number & 1)
-    return {index: sets[mask] for index, mask in enumerate(live_in)}
+    return live_in

@@ -20,8 +20,9 @@ L").  Three filling schemes, straight from section 4.2.1:
 
 Spurious *stores* are never allowed (Figure 4 again: "the store
 instruction is not moved, as it affects memory").  Spurious *loads* are
-allowed by default -- they can at worst re-fault restartably -- but can
-be disabled.
+allowed -- they can at worst re-fault restartably -- except from
+absolute addresses, which may be device registers whose reads have side
+effects.
 
 Every candidate fill is validated by re-checking the whole block
 against the pipeline constraints before being committed, so the filler
@@ -31,10 +32,10 @@ can never introduce a load-delay violation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, NamedTuple, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from ..isa.pieces import Absolute, CompareBranch, Jump, Piece
-from ..isa.registers import ALL_REGISTERS, Reg
+from ..isa.registers import ALL_REGISTERS, SPECIAL_REGISTERS
 from ..isa.words import InstructionWord
 from .blocks import FlowGraph, liveness
 from .scheduler import ScheduledBlock, violates_load_delay
@@ -54,38 +55,27 @@ class DelayFillStats:
         return self.hoisted + self.loop_rotated + self.fallthrough_pulled
 
 
-def _word_is_fillable(word: InstructionWord, allow_loads: bool) -> bool:
-    """Can this word execute spuriously (schemes 2 and 3)?"""
-    if word.is_nop or word.flow is not None:
-        return False
-    for piece in word.pieces:
-        if piece.reads_special() or piece.writes_special():
-            return False
-    if word.mem is not None and word.mem.is_store:
-        return False
-    if word.mem is not None and word.mem.is_load:
-        if not allow_loads:
-            return False
-        if isinstance(word.mem.addr, Absolute):
-            return False  # device reads have side effects: never speculate
-    return True
-
-
 def _word_is_hoistable(word: InstructionWord) -> bool:
     """Can this word move from before the branch to after it (scheme 1)?"""
     if word.is_nop or word.flow is not None:
         return False
-    for piece in word.pieces:
-        if piece.reads_special() or piece.writes_special():
-            return False
-    return True
+    return not (word.reads() | word.writes()) & SPECIAL_REGISTERS
+
+
+def _word_is_fillable(word: InstructionWord) -> bool:
+    """Can this word execute spuriously (schemes 2 and 3)?"""
+    if not _word_is_hoistable(word):
+        return False
+    mem = word.mem
+    # device reads have side effects: never speculate an absolute load
+    return mem is None or not (mem.is_store or isinstance(mem.addr, Absolute))
 
 
 class _WordEffects(NamedTuple):
-    """The registers a word reads and writes, and its memory piece."""
+    """The register sets a word reads and writes, and its memory piece."""
 
-    reads: FrozenSet[Reg]
-    writes: FrozenSet[Reg]
+    reads: int
+    writes: int
     mem: Optional[Piece]
 
 
@@ -117,16 +107,10 @@ def _block_schedule_valid(words: Sequence[InstructionWord]) -> bool:
 class DelaySlotFiller:
     """Fills the delay slots of every scheduled block in a program."""
 
-    def __init__(
-        self,
-        graph: FlowGraph,
-        scheduled: List[ScheduledBlock],
-        allow_speculative_loads: bool = True,
-    ):
+    def __init__(self, graph: FlowGraph, scheduled: List[ScheduledBlock]):
         self.graph = graph
         self.scheduled = {sb.block.index: sb for sb in scheduled}
         self.order = [sb.block.index for sb in scheduled]
-        self.allow_speculative_loads = allow_speculative_loads
         self.live_in = liveness(graph)
         self.stats = DelayFillStats()
         #: labels introduced by loop rotation: label -> (block index,
@@ -151,20 +135,20 @@ class DelaySlotFiller:
                 return word
         return self._first_real_word(self.graph.blocks[block_index].fallthrough)
 
-    def _entry_reads(self, block_index: Optional[int], known_missing_ok: bool = False) -> Set[Reg]:
-        """Registers the first executed word of a successor reads."""
+    def _entry_reads(self, block_index: Optional[int]) -> int:
+        """The register set the first executed word of a successor reads."""
         word = self._first_real_word(block_index)
         if word is None:
-            if block_index is None and not known_missing_ok:
-                return set(ALL_REGISTERS)  # unknown successor: conservative
-            return set()
-        return set(word.reads())
+            if block_index is None:
+                return ALL_REGISTERS  # unknown successor: conservative
+            return 0
+        return word.reads()
 
     def _final_load_ok(self, word: InstructionWord, sb: ScheduledBlock) -> bool:
         """A load in the block's final slot must not feed a successor's entry."""
         if word.mem is None or not word.mem.is_load:
             return True
-        dsts = set(word.mem.writes())
+        dsts = word.mem.writes()
         block = sb.block
         taken = self.graph.taken_successor(block)
         if block.target_label is not None and taken is None:
@@ -240,18 +224,15 @@ class DelaySlotFiller:
         first = target_sb.words[0]
         if unconditional:
             # no spurious path: only structural restrictions apply
-            if first.is_nop or first.flow is not None:
+            if not _word_is_hoistable(first):
                 return False
-            if any(p.reads_special() or p.writes_special() for p in first.pieces):
-                return False
-        elif not _word_is_fillable(first, self.allow_speculative_loads):
+        elif not _word_is_fillable(first):
             return False
         # spurious execution on loop exit: writes must be dead there
         if block.falls_through:
             if block.fallthrough is None:
                 return False
-            exit_live = self.live_in.get(block.fallthrough, frozenset(ALL_REGISTERS))
-            if set(first.writes()) & set(exit_live):
+            if first.writes() & self.live_in[block.fallthrough]:
                 return False
         candidate = list(sb.words)
         candidate[slot] = first
@@ -292,14 +273,13 @@ class DelaySlotFiller:
         if ft_sb is None or len(ft_sb.words) < 2 or ft_sb.flow_pos == 0:
             return False
         first = ft_sb.words[0]
-        if not _word_is_fillable(first, self.allow_speculative_loads):
+        if not _word_is_fillable(first):
             return False
         # spurious execution on the taken path: writes dead at the target
         target = self.graph.taken_successor(block)
         if target is None:
             return False
-        target_live = self.live_in.get(target, frozenset(ALL_REGISTERS))
-        if set(first.writes()) & set(target_live):
+        if first.writes() & self.live_in[target]:
             return False
         candidate = list(sb.words)
         candidate[slot] = first

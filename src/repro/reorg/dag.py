@@ -12,9 +12,12 @@ displacements) need no edge; everything else is conservatively ordered
 ("The algorithm must also avoid reordering loads and stores that might
 be aliased").
 
-Construction summarizes every piece once (:class:`_Summary`), then
-visits each pair of pieces once, the earlier piece from the last to the
-first and the later one upward from it.  A pair on which several
+Construction summarizes every piece once (:class:`_Summary`): the
+register sets it reads and writes, bit masks exactly as the piece
+reports them, its memory reference, and the distance each dependence
+kind demands.  It then visits each pair of pieces once, the earlier
+piece from the last to the first and the later one upward from it; a
+register dependence is one ``&`` of two masks.  A pair on which several
 dependence kinds apply gets one edge carrying the largest of their
 distances.  Every later piece's height is known by the time its edge is
 written, so heights are taken in the same pass.  The graph is *not*
@@ -28,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Sequence
 
 from ..isa.pieces import Absolute, Displacement, Piece
-from ..isa.registers import register_mask
 from .pipeline_model import DepKind, is_barrier, min_distance
 
 
@@ -55,9 +57,9 @@ class _Summary:
     )
 
     def __init__(self, piece: Piece):
-        #: general and special registers read / written, as bit masks
-        self.reads = register_mask(piece.reads()) | register_mask(piece.reads_special())
-        self.writes = register_mask(piece.writes()) | register_mask(piece.writes_special())
+        #: general and special registers read / written
+        self.reads = piece.reads()
+        self.writes = piece.writes()
         #: barriers and flow pieces are ordered against every other piece
         self.pinned = is_barrier(piece) or piece.is_flow
         self.memory = piece.is_memory
@@ -66,7 +68,7 @@ class _Summary:
         #: absolute-addressed references may be device registers (I/O-like)
         self.absolute = isinstance(addr, Absolute)
         #: the disp(base) reference's base register bit (0 otherwise)
-        self.base = register_mask((addr.base,)) if isinstance(addr, Displacement) else 0
+        self.base = addr.base.mask if isinstance(addr, Displacement) else 0
         self.disp = addr.disp if isinstance(addr, Displacement) else 0
         #: the distance each dependence kind demands with this piece first
         self.raw = min_distance(piece, DepKind.RAW)

@@ -121,9 +121,7 @@ def _resolve_word(word: InstructionWord, symbols: Dict[str, int]) -> Instruction
 
 
 def reorganize(
-    stream: Sequence[LabeledPiece],
-    level: OptLevel = OptLevel.BRANCH_DELAY,
-    allow_speculative_loads: bool = True,
+    stream: Sequence[LabeledPiece], level: OptLevel = OptLevel.BRANCH_DELAY
 ) -> ReorgResult:
     """Run the reorganizer over a labeled piece stream."""
     graph = FlowGraph.build(list(stream))
@@ -131,16 +129,14 @@ def reorganize(
     scheduled: List[ScheduledBlock] = []
     for block in graph.blocks:
         if level.reorders:
-            scheduled.append(schedule_block(block, reorder=True, pack=level.packs))
+            scheduled.append(schedule_block(block, pack=level.packs))
         else:
             scheduled.append(naive_block(block))
 
     fill_stats: Optional[DelayFillStats] = None
     split_labels: Dict[str, Tuple[int, int]] = {}
     if level.fills_delay_slots:
-        filler = DelaySlotFiller(
-            graph, scheduled, allow_speculative_loads=allow_speculative_loads
-        )
+        filler = DelaySlotFiller(graph, scheduled)
         fill_stats = filler.fill()
         split_labels = filler.split_labels
 

@@ -22,16 +22,17 @@ are the released ones whose earliest word has come.  Step 3's load-delay
 and barrier constraints are exactly those earliest words, so one filter
 over the released list does steps 2 and 3 together.
 
-Two knobs correspond to Table 11's cumulative levels: ``reorder``
-(choose by priority rather than source order) and ``pack`` (fill the
-second slot of the current word).
+``pack`` separates Table 11's "Reorganize" level (one piece per word)
+from "Pack" (fill the second slot of the current word).  The "None"
+level does not schedule at all: :func:`naive_block` keeps source order
+and inserts a no-op wherever a load's consumer follows it directly.
 """
 
 from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from typing import List, Optional, Set, Tuple
+from typing import List, Optional, Tuple
 
 from ..isa.pieces import Noop, Piece
 from ..isa.words import InstructionWord, can_pack, packable_form
@@ -60,27 +61,21 @@ class ScheduledBlock:
         return len(self.words)
 
 
-def _loaded_registers(word: Optional[InstructionWord]) -> Set:
-    """Registers a word leaves in flight (its load destinations)."""
-    if word is None or word.mem is None or not word.mem.is_load:
-        return set()
-    return set(word.mem.writes())
-
-
 def violates_load_delay(word: InstructionWord, previous: Optional[InstructionWord]) -> bool:
     """True when ``word`` reads a register the previous word is loading."""
-    in_flight = _loaded_registers(previous)
-    return bool(in_flight and (set(word.reads()) & in_flight))
+    if previous is None or previous.mem is None or not previous.mem.is_load:
+        return False
+    return bool(word.reads() & previous.mem.writes())
 
 
-def schedule_block(
-    block: BasicBlock, *, reorder: bool = True, pack: bool = True
-) -> ScheduledBlock:
+def schedule_block(block: BasicBlock, *, pack: bool = True) -> ScheduledBlock:
     """Schedule one basic block into instruction words.
 
-    With ``reorder=False`` and ``pack=False`` this degenerates to the
-    Table 11 "None" level for the block: source order, one piece per
-    word, no-ops inserted wherever a pipeline constraint demands one.
+    Each word takes the generable piece of highest priority (the DAG's
+    height, memory pieces first among equals, then source order) and,
+    with ``pack``, an independent partner for its other slot; a word in
+    which nothing is generable is a no-op.  The delay-slot words after
+    the flow piece are no-ops, left for the branch-delay filler.
     """
     pieces = block.pieces
     if not pieces:
@@ -116,11 +111,6 @@ def schedule_block(
     #: for determinism
     rank = [(node.height, node.piece.is_memory, -node.index) for node in nodes]
 
-    def choose(candidates: List[int]) -> int:
-        if not reorder:
-            return min(candidates)  # source order
-        return max(candidates, key=rank.__getitem__)
-
     def independent(a: int, b: int) -> bool:
         """No ordering edge of distance >= 1 between the two nodes."""
         ab = nodes[a].succs.get(b)
@@ -134,7 +124,7 @@ def schedule_block(
             time += 1
             continue
 
-        primary = choose(candidates)
+        primary = max(candidates, key=rank.__getitem__)
         primary_piece = pieces[primary]
         place(primary)
 

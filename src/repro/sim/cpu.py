@@ -377,7 +377,7 @@ class Cpu:
 
         # ---- hazard accounting against the in-flight load ---------------
         if self._deferred_load:
-            conflicted = {r.number for r in word.reads()} & set(self._deferred_load)
+            conflicted = [n for n in self._deferred_load if word.reads() >> n & 1]
             if conflicted:
                 if self.hazard_mode is HazardMode.CHECKED:
                     raise HazardViolation(

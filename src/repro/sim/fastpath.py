@@ -110,7 +110,8 @@ from ..isa.pieces import (
     Trap,
     WriteSpecial,
 )
-from ..isa.registers import RA, SpecialReg
+from ..isa.registers import NUM_REGISTERS, RA, SpecialReg
+from .cpu import HazardMode
 
 class _Bail(Exception):
     """Raised by a handler, pre-mutation, to punt to the reference stepper."""
@@ -633,8 +634,6 @@ class FastPathEngine:
         Returns a :class:`_WordIR` (body sans next-PC epilogue) or
         ``None`` when the word belongs to the reference stepper.
         """
-        from .cpu import HazardMode  # local import: cpu.py imports us lazily
-
         cpu = self.cpu
         cached = cpu._decode_cache.get(pc)
         if cached is not None and cached[0] == bits:
@@ -654,7 +653,8 @@ class FastPathEngine:
         k = _Slots()        # word-specific integers, as template slots
         pre: list = []      # pure evaluation + all bail checks
         commit: list = []   # register/special commits (post-deferred)
-        reads = sorted(r.number for r in word.reads())
+        read_set = word.reads()
+        reads = [n for n in range(NUM_REGISTERS) if read_set >> n & 1]
         mem_piece = word.mem
         flow = None
         load_dst = None

@@ -6,7 +6,6 @@ from .devices import (
     DeviceBus,
     Disk,
     InterruptController,
-    MachineHalt,
 )
 from .dma import DmaTransfer, FreeCycleDma, run_with_dma
 from .kernel import (
@@ -40,7 +39,6 @@ __all__ = [
     "InterruptController",
     "Kernel",
     "MAX_PROCESSES",
-    "MachineHalt",
     "MappedMemory",
     "PAGE_SHIFT",
     "PAGE_WORDS",

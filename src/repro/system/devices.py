@@ -18,7 +18,7 @@ PM_INDEX       +5    store: select a page-map entry
 PM_ENTRY       +6    load/store: the selected entry (frame | VALID)
 DISK_PAGE      +7    store: select a backing-store page
 DISK_FRAME     +8    store: copy the selected page into this frame
-HALT           +9    store: stop the machine
+HALT           +9    store: stop the machine (raises ``Halted``)
 OUT_PID        +10   store: tag subsequent console output
 =============  ====  ==============================================
 """
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..sim.faults import BusError, PrivilegeViolation
+from ..sim.faults import BusError, Halted, PrivilegeViolation
 from ..sim.memory import PhysicalMemory
 from .mapping import PAGE_SHIFT, PAGE_WORDS, PageMap
 
@@ -55,10 +55,6 @@ DISK_STORE = DEV_BASE + 12
 #: interrupt source ids
 INT_NONE = 0
 INT_TIMER = 1
-
-
-class MachineHalt(Exception):
-    """Raised by a store to the HALT register; ends the kernel run loop."""
 
 
 @dataclass
@@ -203,6 +199,6 @@ class DeviceBus:
         elif addr == DISK_STORE:
             self.disk.store_from_frame(value)
         elif addr == HALT:
-            raise MachineHalt()
+            raise Halted()
         else:
             raise BusError(addr)

@@ -45,6 +45,7 @@ from ..isa.addressing import segment_translator
 from ..isa.bits import u32
 from ..reorg.reorganizer import OptLevel, reorganize
 from ..sim.cpu import Cpu, HazardMode
+from ..sim.faults import Halted
 from ..sim.memory import PhysicalMemory
 from .devices import (
     CONSOLE_CHAR,
@@ -65,7 +66,6 @@ from .devices import (
     DeviceBus,
     Disk,
     InterruptController,
-    MachineHalt,
 )
 from .mapping import ENTRY_VALID, PAGE_SHIFT, VICTIM_DIRTY, MappedMemory, PageMap
 
@@ -487,7 +487,7 @@ class Kernel:
                 else:
                     self.cpu.step()
                     done += 1
-        except MachineHalt:
+        except Halted:
             if engine is not None:
                 done += engine.last_run_steps
             self.halted = True

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.isa.addressing import segment_translator
-from repro.sim import BusError, PhysicalMemory, PrivilegeViolation
+from repro.sim import BusError, Halted, PhysicalMemory, PrivilegeViolation
 from repro.system.devices import (
     CONSOLE_CHAR,
     CONSOLE_IN,
@@ -25,7 +25,6 @@ from repro.system.devices import (
     DeviceBus,
     Disk,
     InterruptController,
-    MachineHalt,
 )
 from repro.system.mapping import ENTRY_VALID, PAGE_WORDS, PageMap
 
@@ -134,7 +133,7 @@ class TestProtectionAndDecoding:
             bus.write(CONSOLE_INT, 1, supervisor=False)
 
     def test_halt_register(self, bus):
-        with pytest.raises(MachineHalt):
+        with pytest.raises(Halted):
             bus.write(HALT, 0)
 
     def test_unmapped_register_is_bus_error(self, bus):

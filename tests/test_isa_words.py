@@ -1,8 +1,10 @@
 """Instruction words and packing rules."""
 
+from itertools import product
+
 import pytest
 
-from repro.isa.operations import AluOp, Comparison
+from repro.isa.operations import PACKABLE_ALU_OPS, AluOp, Comparison
 from repro.isa.pieces import (
     Absolute,
     Alu,
@@ -148,8 +150,33 @@ class TestInstructionWord:
 
     def test_reads_writes_union(self):
         word = InstructionWord.packed(LD, ADD)
-        assert word.reads() == {Reg(14), Reg(4)}
-        assert word.writes() == {Reg(2), Reg(4)}
+        assert word.reads() == Reg(14).mask | Reg(4).mask
+        assert word.writes() == Reg(2).mask | Reg(4).mask
+
+    def test_packed_words_match_their_pieces_fields(self, register_spec):
+        """A word's register sets are the union of its pieces' sets, each
+        read off the piece's fields (``register_spec``, conftest), over
+        every packable pair drawn from the fields below."""
+        regs = (Reg(0), Reg(7), Reg(15))
+        mems = [
+            kind(Displacement(base, disp), reg)
+            for kind, base, disp, reg in product((Load, Store), regs, (0, 7), regs)
+        ]
+        alus = [
+            Alu(op, s1, s2, dst)
+            for op, s1, s2, dst in product(PACKABLE_ALU_OPS, (*regs, Imm(3)), regs, regs)
+        ]
+        alus += [MovImm(200, dst) for dst in regs]
+        packed = 0
+        for mem, alu in product(mems, alus):
+            if not can_pack(mem, alu):
+                continue
+            word = InstructionWord.packed(mem, alu)
+            (mem_reads, mem_writes), (alu_reads, alu_writes) = map(register_spec, (mem, alu))
+            assert word.reads() == mem_reads | alu_reads, word
+            assert word.writes() == mem_writes | alu_writes, word
+            packed += 1
+        assert packed > len(mems) * len(alus) // 2
 
     def test_words_from_pieces(self):
         words = words_from_pieces([LD, ADD, Noop()])

@@ -167,10 +167,9 @@ def test_random_programs_agree_across_options(stmts, initials):
     for options in (
         CompileOptions(register_allocation=False),
         CompileOptions(layout=LayoutStrategy.BYTE_ALLOCATED),
-        CompileOptions(use_global_pointer=False),
     ):
         compiled = compile_source(source, options)
         machine = Machine(compiled.program, hazard_mode=HazardMode.CHECKED)
         machine.run(10_000_000)
         outputs.append(machine.output)
-    assert outputs[0] == outputs[1] == outputs[2], source
+    assert outputs[0] == outputs[1], source

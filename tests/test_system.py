@@ -4,7 +4,7 @@ import pytest
 
 from repro.asm import assemble
 from repro.compiler import compile_source
-from repro.sim import HazardMode, PageFault, PhysicalMemory
+from repro.sim import HazardMode, PageFault, PhysicalMemory, trace
 from repro.system import (
     ENTRY_VALID,
     Kernel,
@@ -74,6 +74,16 @@ class TestKernelBoot:
         kernel.run()
         assert kernel.output(0) == EXPECTED_OUTPUT["fib_iterative"]
         assert kernel.process_state(0) == 2  # exited
+
+    def test_trace_stops_at_the_kernel_halt(self):
+        """The kernel halts the machine as a bare machine does, with
+        ``Halted``, so a trace of it stops there instead of raising."""
+        kernel = Kernel()
+        kernel.add_process(assemble("start: mov #7, r1\n trap #1\n trap #0"))
+        kernel.boot()
+        records = list(trace(kernel.cpu, max_steps=100_000))
+        assert kernel.output(0) == [7]
+        assert 0 < len(records) < 100_000
 
     def test_demand_paging_counts(self):
         kernel = Kernel()
