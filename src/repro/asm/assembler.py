@@ -24,6 +24,7 @@ from ..isa.pieces import (
     Jump,
     Load,
     LoadImm,
+    LoadLabel,
     Piece,
     Store,
 )
@@ -167,6 +168,9 @@ def assemble_pieces(source: str) -> List[Tuple[Optional[str], Piece]]:
     Returns ``(label, piece)`` pairs where ``label`` marks the first
     piece after each label definition.  Directives other than labels are
     rejected -- the reorganizer consumes pure instruction streams.
+    ``lim <label>`` becomes a :class:`LoadLabel`, which the reorganizer
+    resolves once it has placed the labels; a load or store whose
+    address names a symbol is rejected, since no piece carries one.
     """
     pending_label: Optional[str] = None
     out: List[Tuple[Optional[str], Piece]] = []
@@ -181,7 +185,17 @@ def assemble_pieces(source: str) -> List[Tuple[Optional[str], Piece]]:
                 )
             pending_label = body.name
         elif isinstance(body, PieceStmt):
-            out.append((pending_label, body.piece))
+            piece = body.piece
+            if isinstance(piece, _SymbolicLim):
+                piece = LoadLabel(piece.symbol, piece.dst)
+            elif isinstance(piece, _SymbolicMem):
+                raise AsmError(
+                    f"a symbolic load/store address is not allowed in a reorganizer "
+                    f"stream (take the address with lim), got {piece!r}",
+                    stmt.line,
+                    stmt.source,
+                )
+            out.append((pending_label, piece))
             pending_label = None
         else:
             raise AsmError(

@@ -431,6 +431,8 @@ class LineParser:
 
 
 # Symbolic placeholder pieces resolved by the assembler's second pass.
+# Neither reaches the reorganizer: ``assemble_pieces`` turns the first
+# into a LoadLabel and rejects the second.
 
 
 class _SymbolicLim(Piece):
@@ -439,9 +441,6 @@ class _SymbolicLim(Piece):
     def __init__(self, symbol: str, dst: Reg):
         self.symbol = symbol
         self.dst = dst
-
-    def writes(self) -> int:
-        return self.dst.mask
 
     def __repr__(self) -> str:
         return f"lim {self.symbol},{self.dst!r}"
@@ -454,14 +453,6 @@ class _SymbolicMem(Piece):
         self.is_store_op = is_store_op
         self.address_form = address_form
         self.register = register
-
-    @property
-    def is_load(self):  # type: ignore[override]
-        return not self.is_store_op
-
-    @property
-    def is_store(self):  # type: ignore[override]
-        return self.is_store_op
 
     def __repr__(self) -> str:
         op = "st" if self.is_store_op else "ld"

@@ -22,9 +22,9 @@ Two layers:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Protocol
+from typing import Dict, List, Protocol, Sequence
 
-from ..isa.bits import u32
+from ..isa.bits import WORD_MASK, u32
 from .faults import BusError
 
 
@@ -114,6 +114,31 @@ class PhysicalMemory:
         self._words[addr] = u32(value)
         if self.watch_hook is not None:
             self.watch_hook(addr)
+
+    def peek_block(self, base: int, count: int) -> List[int]:
+        """``count`` consecutive words from ``base``, as that many peeks
+        would read them; both ends are checked first."""
+        if count > 0:
+            self._check(base)
+            self._check(base + count - 1)
+        get = self._words.get
+        return [get(addr, 0) for addr in range(base, base + count)]
+
+    def poke_block(self, base: int, values: Sequence[int]) -> None:
+        """Write ``values`` to consecutive words from ``base``, as that
+        many pokes would (u32 images, the watch hook told of every
+        address), but with both ends checked before any word is written
+        -- the page DMA's one bus transfer."""
+        count = len(values)
+        if count > 0:
+            self._check(base)
+            self._check(base + count - 1)
+        addresses = range(base, base + count)
+        self._words.update(zip(addresses, [value & WORD_MASK for value in values]))
+        hook = self.watch_hook
+        if hook is not None:
+            for addr in addresses:
+                hook(addr)
 
     def load_image(self, image: Dict[int, int], base: int = 0) -> None:
         """Install a program image (address -> word) at ``base``."""

@@ -56,6 +56,9 @@ DISK_STORE = DEV_BASE + 12
 INT_NONE = 0
 INT_TIMER = 1
 
+#: what an unregistered backing page holds (demand-zero)
+_ZERO_PAGE = (0,) * PAGE_WORDS
+
 
 @dataclass
 class Console:
@@ -99,33 +102,31 @@ class Disk:
         """Scatter a program image (va -> word) into backing pages, each
         word where the process's segment ``translate`` places it; a word
         in the hole, or past 32 bits, raises :class:`ValueError`."""
+        pages = self.pages
         for addr, value in image.items():
             sysva = None if addr >> 32 else translate(addr)
             if sysva is None:
                 raise ValueError(f"image word at {addr:#x} is outside the process's segment")
-            page, offset = sysva >> PAGE_SHIFT, sysva & (PAGE_WORDS - 1)
-            self.pages.setdefault(page, [0] * PAGE_WORDS)[offset] = value
+            page = sysva >> PAGE_SHIFT
+            content = pages.get(page)
+            if content is None:
+                content = pages[page] = [0] * PAGE_WORDS
+            content[sysva & (PAGE_WORDS - 1)] = value
 
     def select(self, page: int) -> None:
         self._selected_page = page
 
     def copy_to_frame(self, frame: int) -> None:
-        content = self.pages.get(self._selected_page)
-        base = frame << PAGE_SHIFT
-        if content is None:
-            for i in range(PAGE_WORDS):
-                self.physical.poke(base + i, 0)
-        else:
-            for i, value in enumerate(content):
-                self.physical.poke(base + i, value)
+        """Copy the selected backing page into a frame, one block write."""
+        content = self.pages.get(self._selected_page, _ZERO_PAGE)
+        self.physical.poke_block(frame << PAGE_SHIFT, content)
         self.copies += 1
 
     def store_from_frame(self, frame: int) -> None:
         """Write a frame back to the selected backing page (eviction)."""
-        base = frame << PAGE_SHIFT
-        self.pages[self._selected_page] = [
-            self.physical.peek(base + i) for i in range(PAGE_WORDS)
-        ]
+        self.pages[self._selected_page] = self.physical.peek_block(
+            frame << PAGE_SHIFT, PAGE_WORDS
+        )
         self.writebacks += 1
 
 

@@ -32,12 +32,16 @@ The kernel implements:
 
 The kernel source is a piece stream run through the same postpass
 reorganizer as everything else -- the ROM is scheduled code, not magic.
+The ROM depends only on the frame limit, so a process builds it once per
+limit (:func:`build_kernel_program`, behind a small cache) and hands
+every :class:`Kernel` its own copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import List, Optional
 
 from ..asm.program import Program
 from ..asm.assembler import assemble_pieces
@@ -45,12 +49,14 @@ from ..isa.addressing import segment_translator
 from ..isa.bits import u32
 from ..reorg.reorganizer import OptLevel, reorganize
 from ..sim.cpu import Cpu, HazardMode
-from ..sim.faults import Halted
+from ..sim.faults import ExceptionCause, Halted
 from ..sim.memory import PhysicalMemory
+from ..sim.surprise import SurpriseRegister
 from .devices import (
     CONSOLE_CHAR,
     CONSOLE_IN,
     CONSOLE_INT,
+    DEV_BASE,
     DISK_FRAME,
     DISK_PAGE,
     DISK_STORE,
@@ -296,7 +302,10 @@ k_return:
 
 
 def build_kernel_program(frame_limit: int = 1 << 19) -> Program:
-    """Assemble the kernel ROM through the standard toolchain."""
+    """Assemble and reorganize the kernel ROM through the standard
+    toolchain -- a fresh build on every call.  :class:`Kernel` takes its
+    ROM from :func:`_kernel_rom` instead, which builds through this
+    function once per frame limit."""
     stream = assemble_pieces(_kernel_source(frame_limit))
     result = reorganize(stream, OptLevel.BRANCH_DELAY)
     program = result.to_program(org=0, entry_symbol="dispatch")
@@ -305,6 +314,25 @@ def build_kernel_program(frame_limit: int = 1 << 19) -> Program:
             f"kernel ROM ({program.code_size} words) overruns its region"
         )
     return program
+
+
+@lru_cache(maxsize=16)
+def _built_rom(frame_limit: int) -> Program:
+    """The one build of each frame limit's ROM; never handed out."""
+    return build_kernel_program(frame_limit)
+
+
+def _kernel_rom(frame_limit: int) -> Program:
+    """A kernel's own copy of the ROM for ``frame_limit``: fresh
+    ``memory``, ``instructions`` and ``symbols`` maps over the cached
+    build, so no kernel sees another's changes to its program."""
+    rom = _built_rom(frame_limit)
+    return Program(
+        memory=dict(rom.memory),
+        instructions=dict(rom.instructions),
+        symbols=dict(rom.symbols),
+        entry=rom.entry,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +356,6 @@ def _initial_saved_surprise() -> int:
     live); previous state: user, interrupts on, mapping on, overflow
     traps on -- what ``rfs`` installs when the process first runs.
     """
-    from ..sim.surprise import SurpriseRegister
-    from ..sim.faults import ExceptionCause
-
     sr = SurpriseRegister()
     sr.supervisor = False
     sr.interrupts_enabled = True
@@ -338,6 +363,9 @@ def _initial_saved_surprise() -> int:
     sr.overflow_traps_enabled = True
     sr.enter_exception(ExceptionCause.NONE, 0)
     return sr.value
+
+
+_INITIAL_SAVED_SURPRISE = _initial_saved_surprise()
 
 
 class Kernel:
@@ -353,7 +381,10 @@ class Kernel:
     ):
         """``max_frames`` caps the user frame pool; once exhausted the
         page-fault handler evicts with the clock algorithm instead of
-        allocating (demand paging with replacement)."""
+        allocating (demand paging with replacement).  The pool's end is
+        the ROM's frame limit; :attr:`kernel_program` is this kernel's
+        own copy of the ROM built for it (built once per limit per
+        process, see :func:`_kernel_rom`)."""
         self.physical = PhysicalMemory(memory_size)
         self.pagemap = PageMap()
         self.memory = MappedMemory(self.physical, self.pagemap)
@@ -366,13 +397,11 @@ class Kernel:
         self.cpu = Cpu(self.memory, hazard_mode=hazard_mode, vectored_exceptions=True)
         self.interrupts.attach(self._clear_interrupt_line)
         self.quantum = quantum
-        from .devices import DEV_BASE
-
         pool_end = min(memory_size, DEV_BASE) >> PAGE_SHIFT
         if max_frames is not None:
             pool_end = min(pool_end, FIRST_FRAME + max_frames)
         self.frame_limit = pool_end
-        self.kernel_program = build_kernel_program(frame_limit=pool_end)
+        self.kernel_program = _kernel_rom(pool_end)
         self.processes: List[Process] = []
         self.booted = False
         self.halted = False
@@ -408,7 +437,6 @@ class Kernel:
         self.physical.poke(KVAR_NEXTFRAME, FIRST_FRAME)
         self.physical.poke(KVAR_NPROCS, len(self.processes))
 
-        saved_surprise = _initial_saved_surprise()
         for process in self.processes:
             self.disk.register_image(
                 segment_translator(process.pid, SEG_MASK_BITS), process.program.memory
@@ -417,7 +445,7 @@ class Kernel:
             for i in range(16):
                 self.physical.poke(entry_base + i, 0)
             self.physical.poke(entry_base + 14, USER_STACK_TOP)  # sp
-            self.physical.poke(entry_base + 16, saved_surprise)
+            self.physical.poke(entry_base + 16, _INITIAL_SAVED_SURPRISE)
             entry = process.program.entry
             self.physical.poke(entry_base + 17, entry)
             self.physical.poke(entry_base + 18, entry + 1)

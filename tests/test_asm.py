@@ -24,6 +24,7 @@ from repro.isa.pieces import (
     JumpIndirect,
     Load,
     LoadImm,
+    LoadLabel,
     MovImm,
     Rfs,
     Store,
@@ -31,6 +32,8 @@ from repro.isa.pieces import (
     WriteSpecial,
 )
 from repro.isa.registers import Reg, SpecialReg
+from repro.reorg import OptLevel, reorganize
+from repro.sim import Machine
 
 
 class TestParseInteger:
@@ -201,3 +204,22 @@ class TestAssemblePieces:
     def test_rejects_trailing_label(self):
         with pytest.raises(AsmError):
             assemble_pieces("nop\nend:")
+
+    @pytest.mark.parametrize("line", ["ld @data,r3", "st r3, @data", "ld data(r2), r3"])
+    def test_rejects_symbolic_memory_address(self, line):
+        """No piece carries a symbolic address, so the reorganizer could
+        neither see the register the access names nor encode it."""
+        source = f"start: nop\n{line}\nadd r3,#1,r1\ntrap #1\ntrap #0\ndata: nop"
+        with pytest.raises(AsmError, match="symbolic load/store address") as caught:
+            assemble_pieces(source)
+        assert caught.value.line == 2
+        assert caught.value.source == line
+
+    def test_symbolic_lim_becomes_load_label(self):
+        stream = assemble_pieces("start: lim data,r3\nmov r3,r1\ntrap #1\ntrap #0\ndata: nop")
+        assert stream[0] == ("start", LoadLabel("data", Reg(3)))
+        for level in OptLevel:
+            program = reorganize(stream, level).to_program(org=0, entry_symbol="start")
+            machine = Machine(program)
+            machine.run()
+            assert machine.output == [program.symbol("data")] == [4]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.compiler import compile_source
 from repro.isa.addressing import segment_translator
 from repro.sim import BusError, Halted, PhysicalMemory, PrivilegeViolation
 from repro.system.devices import (
@@ -26,7 +27,9 @@ from repro.system.devices import (
     Disk,
     InterruptController,
 )
-from repro.system.mapping import ENTRY_VALID, PAGE_WORDS, PageMap
+from repro.system.kernel import SEG_MASK_BITS, USER_STACK_TOP
+from repro.system.mapping import ENTRY_VALID, PAGE_SHIFT, PAGE_WORDS, PageMap
+from repro.workloads import CORPUS
 
 
 @pytest.fixture
@@ -123,6 +126,42 @@ class TestDisk:
         bus.write(DISK_PAGE, 400)  # never registered
         bus.write(DISK_FRAME, 8)
         assert physical.peek(8 * PAGE_WORDS) == 0
+
+
+def _register_image_per_word(pages, translate, image):
+    """The loader as it was written first, one page list per word: the
+    oracle of :meth:`Disk.register_image`."""
+    for addr, value in image.items():
+        sysva = None if addr >> 32 else translate(addr)
+        if sysva is None:
+            raise ValueError(f"image word at {addr:#x} is outside the process's segment")
+        page, offset = sysva >> PAGE_SHIFT, sysva & (PAGE_WORDS - 1)
+        pages.setdefault(page, [0] * PAGE_WORDS)[offset] = value
+
+
+class TestRegisterImage:
+    #: the processes of the benchmark's multiprogramming workload
+    PROGRAMS = ("sort", "hashsym", "wordcount", "sieve")
+
+    def test_matches_the_per_word_loader(self):
+        images = [compile_source(CORPUS[name]).program.memory for name in self.PROGRAMS]
+        # the top region too: the stack page and the last word of the space
+        images.append({0: 1, 5: 2, USER_STACK_TOP: 99, 0xFFFFFFFF: 3, 0xFFF80000: 4})
+        disk = Disk(PhysicalMemory(1 << 16))
+        expected = {}
+        for pid, image in enumerate(images):
+            translate = segment_translator(pid, SEG_MASK_BITS)
+            disk.register_image(translate, image)
+            _register_image_per_word(expected, translate, image)
+        assert disk.pages == expected
+        last_page = translate(0xFFFFFFFF) >> PAGE_SHIFT
+        assert disk.pages[last_page][-16:] == [99] + [0] * 14 + [3]
+
+    @pytest.mark.parametrize("addr", [1 << 19, 0xFFF7FFFF, 1 << 32])
+    def test_rejects_a_word_outside_the_segment(self, addr):
+        disk = Disk(PhysicalMemory(1 << 16))
+        with pytest.raises(ValueError, match=f"{addr:#x}"):
+            disk.register_image(segment_translator(1, SEG_MASK_BITS), {0: 1, addr: 2})
 
 
 class TestProtectionAndDecoding:

@@ -46,6 +46,36 @@ class TestPhysicalMemory:
         memory.load_image({0: 1, 5: 2}, base=10)
         assert memory.peek(10) == 1 and memory.peek(15) == 2
 
+    def test_block_access_matches_per_word_access(self):
+        values = [0, 1, 0xFFFFFFFF, 1 << 32, -1, (1 << 40) | 5, 0x80000000, 7]
+        block, single = PhysicalMemory(64), PhysicalMemory(64)
+        block.poke_block(30, values)
+        for i, value in enumerate(values):
+            single.poke(30 + i, value)
+        assert block.peek_block(0, 64) == [single.peek(addr) for addr in range(64)]
+        assert block.peek_block(29, 10) == [0, 0, 1, 0xFFFFFFFF, 0, 0xFFFFFFFF, 5, 0x80000000, 7, 0]
+        assert block.peek_block(63, 1) == [0] and block.peek_block(5, 0) == []
+        assert block.stats.data_total == 0
+
+    @pytest.mark.parametrize("base,count", [(12, 5), (-1, 3), (16, 1), (-4, 24)])
+    def test_out_of_range_block_raises_and_writes_nothing(self, base, count):
+        memory = PhysicalMemory(16)
+        seen = []
+        memory.watch_hook = seen.append
+        with pytest.raises(BusError):
+            memory.poke_block(base, [7] * count)
+        with pytest.raises(BusError):
+            memory.peek_block(base, count)
+        assert memory.peek_block(0, 16) == [0] * 16
+        assert seen == []
+
+    def test_block_write_tells_the_watch_hook_every_address_once(self):
+        memory = PhysicalMemory(64)
+        seen = []
+        memory.watch_hook = seen.append
+        memory.poke_block(20, list(range(9)))
+        assert seen == list(range(20, 29))
+
 
 class TestSurpriseRegister:
     def test_reset_state_is_supervisor(self):

@@ -13,6 +13,7 @@ from repro.system import (
     PageMap,
     build_kernel_program,
 )
+from repro.system import kernel as kernel_module
 from repro.system.kernel import USER_STACK_TOP
 from repro.workloads import CORPUS, EXPECTED_OUTPUT
 
@@ -195,6 +196,59 @@ class TestKernelBoot:
         kernel.run()
         assert kernel.output(0) == [1]
         assert kernel.process_state(0) == 2
+
+
+class TestKernelRom:
+    """A process builds each frame limit's ROM once; every kernel gets a
+    copy of its own."""
+
+    def test_a_frame_limit_is_reorganized_once(self, monkeypatch):
+        calls = []
+        real = kernel_module.reorganize
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(kernel_module, "reorganize", counting)
+        kernel_module._built_rom.cache_clear()
+        Kernel(max_frames=7)
+        assert len(calls) == 1
+        Kernel(max_frames=7)
+        assert len(calls) == 1
+        Kernel(max_frames=9)
+        assert len(calls) == 2
+
+    @staticmethod
+    def _assert_rom_is_the_build(program, frame_limit):
+        built = build_kernel_program(frame_limit)
+        assert program.memory == built.memory
+        assert program.instructions == built.instructions
+        assert program.symbols == built.symbols
+        assert program.entry == built.entry
+
+    def test_each_kernel_has_its_own_program(self):
+        first, second = Kernel(max_frames=7), Kernel(max_frames=7)
+        assert first.kernel_program is not second.kernel_program
+        for name in ("memory", "instructions", "symbols"):
+            assert getattr(first.kernel_program, name) is not getattr(
+                second.kernel_program, name
+            )
+        for kernel in (first, second):
+            self._assert_rom_is_the_build(kernel.kernel_program, kernel.frame_limit)
+
+    def test_changing_one_rom_leaves_the_next_kernels_unchanged(self):
+        rom = Kernel(max_frames=7).kernel_program
+        rom.memory[0] ^= 1
+        rom.memory[0x2FF] = 7
+        rom.instructions.clear()
+        rom.symbols["schedule"] = 0
+        rom.entry = 99
+        kernel = Kernel(max_frames=7)
+        self._assert_rom_is_the_build(kernel.kernel_program, kernel.frame_limit)
+        kernel.add_process(assemble("start: mov #7, r1\n trap #1\n trap #0"))
+        kernel.run()
+        assert kernel.output(0) == [7]
 
 
 class TestImageLoader:
