@@ -11,7 +11,7 @@ PYTHON ?= python
 export PYTHONPATH := src
 
 .PHONY: check lint test bench-selftest perf-gate experiments-check engine-differential \
-	farm-smoke chaos-smoke fuzz-smoke claims
+	farm-smoke chaos-smoke fuzz-smoke claims bench-pairs
 
 ## check: everything a push must survive -- lint + tier-1 tests + the
 ## benchmark's self-test + perf gate (cycle counts + paper claims) +
@@ -91,3 +91,29 @@ fuzz-smoke:
 
 claims:
 	$(PYTHON) -m repro.perf claims
+
+## bench-pairs: a speed claim's alternating recipe in one line --
+##   make bench-pairs WORKLOAD=fuzz-oracle PARENT=<clean checkout of the parent>
+## removes both trees' earlier bench/out/result-$(WORKLOAD)-* files, runs
+## bench/run.py for each seed in SEEDS in both trees (the change first on
+## odd seeds, no bytecode written), then bench/compare.py on the two sets;
+## the recipe fails as compare.py does (1 on a regression), and with 2 and
+## a usage line when WORKLOAD is unset or PARENT has no bench/run.py
+SEEDS ?= 101 102 103 104 105 106 107 108 109 110
+
+bench-pairs:
+	@if [ -z "$(WORKLOAD)" ] || [ ! -f "$(PARENT)/bench/run.py" ]; then \
+		echo 'usage: make bench-pairs WORKLOAD=<workload> PARENT=<checkout of the parent> [SEEDS="101 ... 110"]' >&2; \
+		exit 2; \
+	fi
+	rm -f bench/out/result-$(WORKLOAD)-* "$(PARENT)"/bench/out/result-$(WORKLOAD)-*
+	@for seed in $(SEEDS); do \
+		if [ $$((seed % 2)) = 1 ]; then order='. $(PARENT)'; else order='$(PARENT) .'; fi; \
+		for side in $$order; do \
+			echo "== seed $$seed: $$side"; \
+			(cd "$$side" && PYTHONDONTWRITEBYTECODE=1 $(PYTHON) bench/run.py \
+				--workload $(WORKLOAD) --seed $$seed) || exit 1; \
+		done; \
+	done
+	$(PYTHON) bench/compare.py "$(PARENT)"/bench/out/result-$(WORKLOAD)-* \
+		bench/out/result-$(WORKLOAD)-*

@@ -118,8 +118,11 @@ def assemble(source: str, entry_symbol: Optional[str] = "start") -> Program:
             elif isinstance(body, Ascii):
                 for i, value in enumerate(body.words()):
                     program.place_data(addr + i, value)
-        except AsmError:
-            raise
+        except AsmError as exc:
+            if exc.line is not None:
+                raise
+            # a resolver error knows the symbol, the statement its line
+            raise type(exc)(exc.message, placement.stmt.line, placement.stmt.source) from exc
         except (KeyError, ValueError) as exc:
             raise AsmError(str(exc), placement.stmt.line, placement.stmt.source) from exc
 

@@ -176,6 +176,8 @@ def reorg_main(argv=None) -> int:
     with open(args.source) as handle:
         stream = assemble_pieces(handle.read())
     results = {level.value: reorganize(stream, level) for level in ALL_LEVELS}
+    # resolve the listed level's labels first: an undefined one stops here
+    results[args.level].to_program()
     for value, result in results.items():
         marker = " *" if value == args.level else ""
         print(f"; {value}: {result.static_count} words{marker}")

@@ -15,9 +15,12 @@ The tables below are the definition of this arithmetic, written once:
 :data:`ALU_EXPRESSIONS`, :data:`OVERFLOW_EXPRESSIONS` and
 :data:`COMPARISONS` hold each operation as the text of one Python
 expression over ``{a}`` and ``{b}``, the unsigned 32-bit images of the
-two operands.  The reference evaluators (:func:`alu_evaluate`,
-:func:`alu_insert_byte`, :func:`alu_overflows`, :func:`compare`) are
-compiled from that text at import, and the fast path
+two operands.  They are compiled from that text at import into
+:data:`ALU_FUNCTIONS`, :data:`OVERFLOW_FUNCTIONS` and
+:data:`COMPARE_FUNCTIONS`, which the reference stepper runs (its step
+plans hold the entries a word needs) and which the evaluators
+:func:`alu_evaluate`, :func:`alu_insert_byte`, :func:`alu_overflows` and
+:func:`compare` wrap for the spec tests; the fast path
 (:mod:`repro.sim.fastpath`) renders its handlers from the same entries.
 The fast path compiles one handler per template, with a slot constant
 per word-specific integer, so a literal in an entry only ever meets a
@@ -128,7 +131,8 @@ ALU_FUNCTIONS: Dict[AluOp, Callable[..., int]] = {
     op: _compile("a, b, w" if "{w}" in expr else "a, b", expr.format(a="a", b="b", w="w"))
     for op, expr in ALU_EXPRESSIONS.items()
 }
-_OVERFLOWS: Dict[AluOp, Callable[[int, int], bool]] = {
+#: the compiled :data:`OVERFLOW_EXPRESSIONS`: ``f(a, b)`` on u32 images
+OVERFLOW_FUNCTIONS: Dict[AluOp, Callable[[int, int], bool]] = {
     op: _compile("a, b", f"({expr.format(a='a', b='b')}) != 0")
     for op, expr in OVERFLOW_EXPRESSIONS.items()
 }
@@ -158,7 +162,7 @@ def alu_overflows(op: AluOp, s1: int, s2: int) -> bool:
     Only ``ADD``, ``SUB`` and ``RSUB`` participate in overflow detection
     (:data:`OVERFLOW_EXPRESSIONS`).
     """
-    overflows = _OVERFLOWS.get(op)
+    overflows = OVERFLOW_FUNCTIONS.get(op)
     return overflows is not None and overflows(s1 & 4294967295, s2 & 4294967295)
 
 
@@ -222,7 +226,8 @@ def _transformed(name: str, xor: int) -> str:
     return f"({name} ^ {xor})" if xor else name
 
 
-_COMPARE_FUNCS: Dict[Comparison, Callable[[int, int], bool]] = {
+#: the compiled :data:`COMPARISONS`: ``f(s1, s2)`` on u32 images
+COMPARE_FUNCTIONS: Dict[Comparison, Callable[[int, int], bool]] = {
     cond: _compile("a, b", expr.format(a=_transformed("a", xa), b=_transformed("b", xb)))
     for cond, (expr, xa, xb) in COMPARISONS.items()
 }
@@ -268,7 +273,7 @@ NEGATED_COMPARISON = {
 
 def compare(cond: Comparison, s1: int, s2: int) -> bool:
     """Evaluate comparison ``cond`` on the two 32-bit operands."""
-    return _COMPARE_FUNCS[cond](s1 & 4294967295, s2 & 4294967295)
+    return COMPARE_FUNCTIONS[cond](s1 & 4294967295, s2 & 4294967295)
 
 
 assert len(Comparison) == 16, "the paper specifies exactly 16 comparisons"

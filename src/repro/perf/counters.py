@@ -211,9 +211,9 @@ def collect(cpu, *, pagemap=None, dma=None) -> Dict[str, Dict[str, object]]:
         counts = dict(profiler.counts)
     profiles: Dict[int, WordProfile] = {}
     for pc in counts:
-        cached = cpu._decode_cache.get(pc)
-        if cached is not None:
-            profiles[pc] = classify_word(cached[1])
+        plan = cpu.step_plan(pc)
+        if plan is not None:
+            profiles[pc] = classify_word(plan.word)
 
     mix: Counter = Counter()
     imm: Counter = Counter()

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from ..asm.errors import UndefinedSymbol
 from ..asm.program import Program
 from ..isa.pieces import CompareBranch, Jump, LoadImm, LoadLabel, Piece
 from ..isa.words import InstructionWord
@@ -102,13 +103,18 @@ class ReorgResult:
 
 
 def _resolve_word(word: InstructionWord, symbols: Dict[str, int]) -> InstructionWord:
+    def address(label: str) -> int:
+        if label not in symbols:
+            raise UndefinedSymbol(f"undefined symbol {label!r}")
+        return symbols[label]
+
     def resolve_piece(piece: Piece) -> Piece:
         if isinstance(piece, CompareBranch) and isinstance(piece.target, str):
-            return CompareBranch(piece.cond, piece.s1, piece.s2, symbols[piece.target])
+            return CompareBranch(piece.cond, piece.s1, piece.s2, address(piece.target))
         if isinstance(piece, Jump) and isinstance(piece.target, str):
-            return Jump(symbols[piece.target], piece.link)
+            return Jump(address(piece.target), piece.link)
         if isinstance(piece, LoadLabel):
-            return LoadImm(symbols[piece.label], piece.dst)
+            return LoadImm(address(piece.label), piece.dst)
         return piece
 
     mem = None if word.mem is None else resolve_piece(word.mem)

@@ -30,6 +30,19 @@ Hazard modes:
     against: load-use stalls one cycle (with forwarding), and taken
     branches squash their delay slots, costing the full branch delay.
     Used for the hardware-vs-software ablation.
+
+Step plans: a word is decoded once.  The decode cache holds one
+:class:`StepPlan` per address, revalidated by the bits each fetch reads;
+its first reference step derives from the word everything that never
+changes for it (piece count, read mask, one operation per piece with
+the evaluator it needs, the memory piece with its address function), so
+a step fetches with one translation and one memory read, runs the plan
+and makes one translation and one memory reference per data access.
+The step keeps this fault ordering: pieces are counted before anything
+is evaluated; overflow and privilege checks run before the memory
+reference; nothing commits before the memory reference, and the
+previous word's in-flight load lands at commit, before this word's
+writes.
 """
 
 from __future__ import annotations
@@ -42,7 +55,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 from ..isa.addressing import ADDRESS_FUNCTIONS, segment_translator
 from ..isa.bits import u32
 from ..isa.encoding import decode
-from ..isa.operations import AluOp, alu_evaluate, alu_insert_byte, alu_overflows, compare
+from ..isa.operations import ALU_FUNCTIONS, COMPARE_FUNCTIONS, OVERFLOW_FUNCTIONS, AluOp
 from ..isa.pieces import (
     Alu,
     CompareBranch,
@@ -116,6 +129,126 @@ class CpuStats:
         return self.free_memory_cycles / self.words
 
 
+# The kinds of a step plan's operations.  A step compares them by
+# identity, most frequent first.
+_ALU = "alu"
+_CONST = "const"
+_BRANCH = "branch"
+_NOOP = "noop"
+_JUMP = "jump"
+_SETCOND = "setcond"
+_JUMPR = "jumpr"
+_INSERT = "insert"
+_TRAP = "trap"
+_RDSPEC = "rdspec"
+_WRSPEC = "wrspec"
+_RFS = "rfs"
+_ILLEGAL = "illegal"
+
+
+def _operand(operand: Operand) -> int:
+    """A plan's operand: a register as its number, an immediate ``k`` as
+    ``~k`` (negative), so a step reads it as ``regs[n] if n >= 0 else ~n``."""
+    return ~operand.value if isinstance(operand, Imm) else operand.number
+
+
+class StepPlan:
+    """A decode-cache entry: the word fetched at one address, decoded once.
+
+    ``bits`` revalidate the entry on every fetch and ``word`` is the
+    decoded (or loader-seeded) word.  The rest is derived from ``word``
+    by :meth:`build` on the word's first reference step, so the fast
+    path and the counters, which need only ``word``, never pay for it:
+
+    - ``pieces``: the word's non-no-op piece count; ``reads``: its read
+      mask; ``uses_memory``: whether it takes the data-memory cycle;
+    - ``ops``: one tuple per piece other than the memory piece, in piece
+      order, headed by its kind and holding what the piece needs: its
+      evaluator from the compiled tables of :mod:`repro.isa.operations`,
+      operands (see :func:`_operand`), destination, and the piece itself
+      for a fault's message.  A word writes at most one general register
+      before its load (:class:`InstructionWord` packs a load or store with
+      at most one ALU piece);
+    - ``mem``: ``(is_load, address function, mode, register, note)`` of
+      the load or store, the function its :data:`ADDRESS_FUNCTIONS`
+      entry, the register its destination or source; or None.
+    """
+
+    __slots__ = ("bits", "word", "ops", "pieces", "reads", "uses_memory", "mem")
+
+    def __init__(self, bits: int, word: InstructionWord):
+        self.bits = bits
+        self.word = word
+        self.ops: Optional[tuple] = None
+
+    def build(self, pc: int) -> tuple:
+        """Derive the plan of ``word`` fetched at ``pc``; returns ``ops``."""
+        word = self.word
+        pieces = word.pieces
+        ops: list = []
+        for piece in pieces:
+            if isinstance(piece, Alu):
+                if piece.op is AluOp.IC:
+                    ops.append(
+                        (_INSERT, ALU_FUNCTIONS[AluOp.IC], _operand(piece.s1), piece.dst.number)
+                    )
+                else:
+                    ops.append((
+                        _ALU, ALU_FUNCTIONS[piece.op], _operand(piece.s1), _operand(piece.s2),
+                        piece.dst.number, OVERFLOW_FUNCTIONS.get(piece.op), piece,
+                    ))
+            elif isinstance(piece, MovImm):
+                ops.append((_CONST, piece.value, piece.dst.number))
+            elif isinstance(piece, LoadImm):
+                ops.append((_CONST, u32(piece.value), piece.dst.number))
+            elif isinstance(piece, SetCond):
+                ops.append((
+                    _SETCOND, COMPARE_FUNCTIONS[piece.cond], _operand(piece.s1),
+                    _operand(piece.s2), piece.dst.number,
+                ))
+            elif isinstance(piece, CompareBranch):
+                ops.append((
+                    _BRANCH, COMPARE_FUNCTIONS[piece.cond], _operand(piece.s1),
+                    _operand(piece.s2), (piece.delay_slots, int(piece.target)),
+                ))
+            elif isinstance(piece, Jump):
+                ops.append((_JUMP, (piece.delay_slots, int(piece.target))))
+                if piece.link:
+                    ops.append((_CONST, pc + 1 + piece.delay_slots, RA.number))
+            elif isinstance(piece, JumpIndirect):
+                ops.append((_JUMPR, piece.delay_slots, piece.reg.number))
+                if piece.link:
+                    ops.append((_CONST, pc + 1 + piece.delay_slots, RA.number))
+            elif isinstance(piece, Trap):
+                ops.append((_TRAP, piece.code))
+            elif isinstance(piece, Rfs):
+                ops.append((_RFS,))
+            elif isinstance(piece, ReadSpecial):
+                ops.append((_RDSPEC, piece.sreg, piece.dst.number, piece.privileged, piece))
+            elif isinstance(piece, WriteSpecial):
+                ops.append((_WRSPEC, piece.sreg, _operand(piece.src), piece.privileged, piece))
+            elif isinstance(piece, (Load, Store)):
+                pass  # the memory reference follows the other pieces
+            elif isinstance(piece, Noop):
+                ops.append((_NOOP,))
+            else:
+                ops.append((_ILLEGAL, piece))
+        mem = word.mem
+        if isinstance(mem, (Load, Store)):
+            is_load = isinstance(mem, Load)
+            self.mem = (
+                is_load, ADDRESS_FUNCTIONS[mem.addr.__class__], mem.addr,
+                (mem.dst if is_load else mem.src).number, mem.note,
+            )
+        else:
+            self.mem = None
+        self.pieces = sum(0 if isinstance(p, Noop) else 1 for p in pieces)
+        self.reads = word.reads()
+        self.uses_memory = word.uses_memory
+        self.ops = tuple(ops)
+        return self.ops
+
+
 class Cpu:
     """The processor.  See the module docstring for the pipeline model."""
 
@@ -172,7 +305,7 @@ class Cpu:
         self._pending_branches: List[List[int]] = []  # [countdown, target]
         self._forced_stream: List[int] = []  # pcs forced by rfs
         self._deferred_load: Dict[int, int] = {}  # reg number -> value in flight
-        self._decode_cache: Dict[int, Tuple[int, InstructionWord]] = {}
+        self._decode_cache: Dict[int, StepPlan] = {}  # address -> plan
         self._fastpath = None  # lazily-built FastPathEngine
 
     # ------------------------------------------------------------------
@@ -188,48 +321,39 @@ class Cpu:
             raise PageFault(addr)
         return sysaddr
 
-    def _mem_addr(self, addr: int) -> Tuple[int, bool]:
-        """(address presented to the memory system, was it mapped?)."""
-        if self.surprise.mapping_enabled:
-            return self.translate(addr), True
-        return u32(addr), False
-
-    def _read_mem(self, addr: int, fetch: bool = False) -> int:
-        sysaddr, mapped = self._mem_addr(addr)
-        return self.memory.read(
-            sysaddr, supervisor=self.surprise.supervisor, fetch=fetch, mapped=mapped
-        )
-
-    def _write_mem(self, addr: int, value: int) -> None:
-        sysaddr, mapped = self._mem_addr(addr)
-        self.memory.write(sysaddr, value, supervisor=self.surprise.supervisor, mapped=mapped)
-
     # ------------------------------------------------------------------
-    # operand access
+    # the decode cache
     # ------------------------------------------------------------------
 
-    def read_operand(self, operand: Operand) -> int:
-        if isinstance(operand, Imm):
-            return operand.value
-        return self.regs[operand.number]
+    def step_plan(
+        self, addr: int, bits: Optional[int] = None, word: Optional[InstructionWord] = None
+    ) -> Optional[StepPlan]:
+        """The decode-cache entry of the word at ``addr``.
+
+        Given ``bits``, the cached plan when it holds those bits, else a
+        new plan decoded from them (``IllegalInstruction`` when they do not
+        decode).  Given ``word`` too, a new plan of that word: a loader
+        seeds its own words, which keep their Load/Store notes.  Given
+        neither, the plan cached at ``addr`` (the last word fetched or
+        seeded there), or None.
+        """
+        cache = self._decode_cache
+        if word is None:
+            plan = cache.get(addr)
+            if bits is None or (plan is not None and plan.bits == bits):
+                return plan
+            try:
+                word = decode(bits, addr)
+            except MachineFault:
+                raise
+            except Exception as exc:
+                raise IllegalInstruction(f"undecodable word at {addr}: {bits:#010x}") from exc
+        plan = cache[addr] = StepPlan(bits, word)
+        return plan
 
     # ------------------------------------------------------------------
-    # fetch / next-pc machinery
+    # next-pc machinery
     # ------------------------------------------------------------------
-
-    def fetch(self, addr: int) -> InstructionWord:
-        bits = self._read_mem(addr, fetch=True)
-        cached = self._decode_cache.get(addr)
-        if cached is not None and cached[0] == bits:
-            return cached[1]
-        try:
-            word = decode(bits, addr)
-        except MachineFault:
-            raise
-        except Exception as exc:
-            raise IllegalInstruction(f"undecodable word at {addr}: {bits:#010x}") from exc
-        self._decode_cache[addr] = (bits, word)
-        return word
 
     def upcoming_pcs(self, n: int = 3) -> List[int]:
         """The next ``n`` instruction addresses, honoring pending branches.
@@ -373,16 +497,34 @@ class Cpu:
         self._deferred_load = {}
 
     def _execute_at(self, pc: int) -> None:
-        word = self.fetch(pc)
+        # ---- fetch: one translation, one memory read ---------------------
+        # surprise bits: 1 supervisor, 4 overflow traps, 8 mapping; nothing
+        # before the commit changes them
+        sv = self.surprise.value
+        if sv & 8:
+            bits = self.memory.read(
+                self.translate(pc), supervisor=bool(sv & 1), fetch=True, mapped=True
+            )
+        else:
+            bits = self.memory.read(
+                pc & 4294967295, supervisor=bool(sv & 1), fetch=True, mapped=False
+            )
+        plan = self._decode_cache.get(pc)
+        if plan is None or plan.bits != bits:
+            plan = self.step_plan(pc, bits)
+        ops = plan.ops
+        if ops is None:
+            ops = plan.build(pc)
 
         # ---- hazard accounting against the in-flight load ---------------
         if self._deferred_load:
-            conflicted = [n for n in self._deferred_load if word.reads() >> n & 1]
+            reads = plan.reads
+            conflicted = [n for n in self._deferred_load if reads >> n & 1]
             if conflicted:
                 if self.hazard_mode is HazardMode.CHECKED:
                     raise HazardViolation(
                         f"word at {pc} reads r{sorted(conflicted)[0]} in a load "
-                        f"delay slot: {word!r}"
+                        f"delay slot: {plan.word!r}"
                     )
                 if self.hazard_mode is HazardMode.INTERLOCKED:
                     # one stall cycle, then forward the loaded value
@@ -392,132 +534,132 @@ class Cpu:
                         self.profiler.charge_stall(pc)
                     self._apply_deferred()
 
-        mem_piece = word.mem
-        reg_writes: Dict[int, int] = {}
-        load_write: Dict[int, int] = {}
-        special_writes: Dict[SpecialReg, int] = {}
-        branch: Optional[Tuple[int, int]] = None
-        is_rfs = False
-        trap_code: Optional[int] = None
-
-        pieces = word.pieces
-        self.stats.pieces += sum(0 if isinstance(p, Noop) else 1 for p in pieces)
+        stats = self.stats
+        stats.pieces += plan.pieces
 
         # ---- evaluate from pre-state -------------------------------------
         # Fault ordering: overflow / privilege checks happen before the
         # memory reference; the memory reference commits before any
         # register write (restartability, section 3.3).
-        for piece in pieces:
-            if isinstance(piece, Alu):
-                s1 = self.read_operand(piece.s1)
-                if piece.op is AluOp.IC:
-                    result = alu_insert_byte(self.lo, s1, self.regs[piece.dst.number])
-                else:
-                    s2 = self.read_operand(piece.s2)
-                    if self.surprise.overflow_traps_enabled and alu_overflows(
-                        piece.op, s1, s2
-                    ):
-                        raise OverflowTrap(f"overflow in {piece!r}")
-                    result = alu_evaluate(piece.op, s1, s2)
-                reg_writes[piece.dst.number] = result
-            elif isinstance(piece, MovImm):
-                reg_writes[piece.dst.number] = piece.value
-            elif isinstance(piece, LoadImm):
-                reg_writes[piece.dst.number] = u32(piece.value)
-            elif isinstance(piece, SetCond):
-                taken = compare(
-                    piece.cond, self.read_operand(piece.s1), self.read_operand(piece.s2)
+        regs = self.regs
+        dst = None  # the general register the word writes, with ``result``
+        result = 0
+        special = None  # (special register, value) the word writes
+        branch: Optional[Tuple[int, int]] = None
+        is_rfs = False
+        trap_code: Optional[int] = None
+        for op in ops:
+            kind = op[0]
+            if kind is _ALU:
+                _, evaluate, a, b, dst, overflows, piece = op
+                a = (regs[a] if a >= 0 else ~a) & 4294967295
+                b = (regs[b] if b >= 0 else ~b) & 4294967295
+                if sv & 4 and overflows is not None and overflows(a, b):
+                    raise OverflowTrap(f"overflow in {piece!r}")
+                result = evaluate(a, b)
+            elif kind is _CONST:
+                _, result, dst = op
+            elif kind is _BRANCH:
+                _, test, a, b, target = op
+                stats.branches += 1
+                if test(
+                    (regs[a] if a >= 0 else ~a) & 4294967295,
+                    (regs[b] if b >= 0 else ~b) & 4294967295,
+                ):
+                    stats.branches_taken += 1
+                    branch = target
+            elif kind is _NOOP:
+                stats.noops += 1
+            elif kind is _JUMP:
+                stats.branches += 1
+                stats.branches_taken += 1
+                branch = op[1]
+            elif kind is _SETCOND:
+                _, test, a, b, dst = op
+                result = 1 if test(
+                    (regs[a] if a >= 0 else ~a) & 4294967295,
+                    (regs[b] if b >= 0 else ~b) & 4294967295,
+                ) else 0
+            elif kind is _JUMPR:
+                stats.branches += 1
+                stats.branches_taken += 1
+                branch = (op[1], regs[op[2]])
+            elif kind is _INSERT:
+                _, evaluate, a, dst = op
+                result = evaluate(
+                    (regs[a] if a >= 0 else ~a) & 4294967295,
+                    self.lo & 4294967295,
+                    regs[dst] & 4294967295,
                 )
-                reg_writes[piece.dst.number] = 1 if taken else 0
-            elif isinstance(piece, CompareBranch):
-                self.stats.branches += 1
-                taken = compare(
-                    piece.cond, self.read_operand(piece.s1), self.read_operand(piece.s2)
-                )
-                if taken:
-                    self.stats.branches_taken += 1
-                    branch = (piece.delay_slots, int(piece.target))
-            elif isinstance(piece, Jump):
-                self.stats.branches += 1
-                self.stats.branches_taken += 1
-                branch = (piece.delay_slots, int(piece.target))
-                if piece.link:
-                    reg_writes[RA.number] = pc + 1 + piece.delay_slots
-            elif isinstance(piece, JumpIndirect):
-                self.stats.branches += 1
-                self.stats.branches_taken += 1
-                branch = (piece.delay_slots, self.regs[piece.reg.number])
-                if piece.link:
-                    reg_writes[RA.number] = pc + 1 + piece.delay_slots
-            elif isinstance(piece, Trap):
-                trap_code = piece.code
-            elif isinstance(piece, Rfs):
-                if not self.surprise.supervisor:
+            elif kind is _TRAP:
+                trap_code = op[1]
+            elif kind is _RDSPEC:
+                _, sreg, dst, privileged, piece = op
+                if privileged and not sv & 1:
+                    raise PrivilegeViolation(f"{piece!r} at user level")
+                result = self._read_special(sreg)
+            elif kind is _WRSPEC:
+                _, sreg, a, privileged, piece = op
+                if privileged and not sv & 1:
+                    raise PrivilegeViolation(f"{piece!r} at user level")
+                special = (sreg, regs[a] if a >= 0 else ~a)
+            elif kind is _RFS:
+                if not sv & 1:
                     raise PrivilegeViolation("rfs at user level")
                 is_rfs = True
-            elif isinstance(piece, ReadSpecial):
-                if piece.privileged and not self.surprise.supervisor:
-                    raise PrivilegeViolation(f"{piece!r} at user level")
-                reg_writes[piece.dst.number] = self._read_special(piece.sreg)
-            elif isinstance(piece, WriteSpecial):
-                if piece.privileged and not self.surprise.supervisor:
-                    raise PrivilegeViolation(f"{piece!r} at user level")
-                special_writes[piece.sreg] = self.read_operand(piece.src)
-            elif isinstance(piece, (Load, Store)):
-                pass  # the memory reference happens below
-            elif isinstance(piece, Noop):
-                self.stats.noops += 1
             else:
-                raise IllegalInstruction(f"unexecutable piece {piece!r}")
+                raise IllegalInstruction(f"unexecutable piece {op[1]!r}")
 
         # ---- the memory reference (may fault; nothing written yet) -------
-        if isinstance(mem_piece, Load):
-            mode = mem_piece.addr
-            value = self._read_mem(ADDRESS_FUNCTIONS[mode.__class__](self.regs, mode))
-            load_write[mem_piece.dst.number] = value
-            self.stats.loads += 1
-            if mem_piece.note:
-                self.stats.ref_notes[mem_piece.note] += 1
-        elif isinstance(mem_piece, Store):
-            mode = mem_piece.addr
-            self._write_mem(
-                ADDRESS_FUNCTIONS[mode.__class__](self.regs, mode),
-                self.regs[mem_piece.src.number],
-            )
-            self.stats.stores += 1
-            if mem_piece.note:
-                self.stats.ref_notes[mem_piece.note] += 1
+        mem = plan.mem
+        load_dst = None
+        if mem is not None:
+            is_load, address, mode, number, note = mem
+            addr = address(regs, mode)
+            sysaddr = self.translate(addr) if sv & 8 else addr & 4294967295
+            if is_load:
+                loaded = self.memory.read(sysaddr, supervisor=bool(sv & 1), mapped=bool(sv & 8))
+                load_dst = number
+                stats.loads += 1
+            else:
+                self.memory.write(
+                    sysaddr, regs[number], supervisor=bool(sv & 1), mapped=bool(sv & 8)
+                )
+                stats.stores += 1
+            if note:
+                stats.ref_notes[note] += 1
 
         # ---- commit --------------------------------------------------------
         # the previous word's in-flight load lands before this word's writes
-        self._apply_deferred()
-        for number, value in reg_writes.items():
-            self.regs[number] = value
-        for sreg, value in special_writes.items():
-            self._write_special(sreg, value)
-        if self.hazard_mode is HazardMode.INTERLOCKED:
-            # forwarding hardware: the load value is usable immediately,
-            # but remember it to charge the stall on next-word use
-            for number, value in load_write.items():
-                self.regs[number] = value
-        self._deferred_load = load_write
+        if self._deferred_load:
+            self._apply_deferred()
+        if dst is not None:
+            regs[dst] = result
+        if special is not None:
+            self._write_special(*special)
+        if load_dst is not None:
+            if self.hazard_mode is HazardMode.INTERLOCKED:
+                # forwarding hardware: the load value is usable immediately,
+                # but remember it to charge the stall on next-word use
+                regs[load_dst] = loaded
+            self._deferred_load = {load_dst: loaded}
 
         # ---- timing ----------------------------------------------------------
-        self.stats.words += 1
-        self.stats.cycles += 1
+        stats.words += 1
+        stats.cycles += 1
         profiler = self.profiler
         if profiler is not None:
             counts = profiler.counts
             counts[pc] = counts.get(pc, 0) + 1
-        if word.uses_memory:
-            self.stats.memory_cycles_used += 1
+        if plan.uses_memory:
+            stats.memory_cycles_used += 1
         else:
-            self.stats.free_memory_cycles += 1
+            stats.free_memory_cycles += 1
 
         # ---- control flow -----------------------------------------------------
         if is_rfs:
             if profiler is not None:
-                profiler.record_event("rfs", self.stats.words, pc)
+                profiler.record_event("rfs", stats.words, pc)
             # the return sequence drains the pipe: the in-flight load (if
             # any) lands before the first resumed instruction issues
             self._apply_deferred()
@@ -528,11 +670,14 @@ class Cpu:
             self._pending_branches = []
             return
 
-        self._advance_pc(pc, branch)
+        if branch is not None or self._pending_branches or self._forced_stream:
+            self._advance_pc(pc, branch)
+        else:
+            self.pc = pc + 1
 
         if trap_code is not None:
             if profiler is not None:
-                profiler.record_event("trap", self.stats.words, pc, trap_code)
+                profiler.record_event("trap", stats.words, pc, trap_code)
             handled = self.trap_hook(self, trap_code) if self.trap_hook else False
             if not handled:
                 # the trap word itself completed: the saved return stream

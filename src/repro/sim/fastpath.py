@@ -1,13 +1,13 @@
 """Threaded-code fast path for the simulator.
 
-The per-step interpreter in :class:`~repro.sim.cpu.Cpu` pays Python-level
-dispatch costs (isinstance chains, dict churn, attribute lookups) for
-every executed word.  This module turns each instruction word into a
-specialized Python function (threaded-code style) and runs a batched
-inner loop over those handlers, only falling back to the precise
-reference stepper for the rare events it cannot prove cheap: faults,
-traps, privileged/special instructions, interlock stalls, device-window
-accesses, and interrupt delivery.
+The per-step interpreter in :class:`~repro.sim.cpu.Cpu` pays
+Python-level costs (a step plan's operation dispatch, operand reads,
+stats updates, a call per memory access) for every executed word.  This
+module turns each instruction word into a specialized Python function
+(threaded-code style) and runs a batched inner loop over those handlers,
+only falling back to the precise reference stepper for the rare events
+it cannot prove cheap: faults, traps, privileged/special instructions,
+interlock stalls, device-window accesses, and interrupt delivery.
 
 Handlers are compiled once per *template* and instantiated per address.
 The emitters write every word-specific integer (register numbers,
@@ -84,7 +84,6 @@ from typing import Dict, Optional
 
 from ..isa.addressing import ADDRESS_EXPRESSIONS, SEGMENT_CHECK, segment_translator, segment_window
 from ..isa.bits import u32
-from ..isa.encoding import decode
 from ..isa.operations import (
     ALU_EXPRESSIONS,
     COMPARISONS,
@@ -112,6 +111,7 @@ from ..isa.pieces import (
 )
 from ..isa.registers import NUM_REGISTERS, RA, SpecialReg
 from .cpu import HazardMode
+from .faults import MachineFault
 
 class _Bail(Exception):
     """Raised by a handler, pre-mutation, to punt to the reference stepper."""
@@ -635,15 +635,10 @@ class FastPathEngine:
         ``None`` when the word belongs to the reference stepper.
         """
         cpu = self.cpu
-        cached = cpu._decode_cache.get(pc)
-        if cached is not None and cached[0] == bits:
-            word = cached[1]
-        else:
-            try:
-                word = decode(bits, pc)
-            except Exception:
-                return None  # reference fetch raises IllegalInstruction
-            cpu._decode_cache[pc] = (bits, word)
+        try:
+            word = cpu.step_plan(pc, bits).word
+        except MachineFault:
+            return None  # the reference fetch raises IllegalInstruction
 
         mode = cpu.hazard_mode
         checked = mode is HazardMode.CHECKED

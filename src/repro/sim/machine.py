@@ -58,7 +58,7 @@ class Machine:
         # seed the decode cache with the program's own InstructionWord
         # objects so analysis notes on Load/Store pieces survive
         for addr, word in program.instructions.items():
-            self.cpu._decode_cache[addr] = (program.memory[addr], word)
+            self.cpu.step_plan(addr, program.memory[addr], word)
         self.cpu.pc = program.entry
         self.cpu.regs[SP.number] = stack_top
         self.cpu.trap_hook = self._service_trap

@@ -8,8 +8,8 @@ fine-grained pipeline behaviour and by humans chasing miscompiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterator, List
 
 from ..isa.words import InstructionWord
 from .cpu import Cpu
@@ -27,9 +27,10 @@ class TraceRecord:
     writes: Dict[int, int]
     #: True when the word carried a taken control transfer
     branched: bool
-    #: True when the fetch at ``pc`` faulted: ``word`` is a placeholder
-    #: NOP and the step vectored to the fault handler instead of
-    #: executing anything at ``pc``
+    #: True when the step fetched no word at ``pc`` -- its fetch faulted,
+    #: or it delivered an interrupt first: ``word`` is a placeholder NOP
+    #: and the step vectored to the fault handler instead of executing
+    #: anything at ``pc``
     fetch_faulted: bool = False
 
     def __repr__(self) -> str:
@@ -43,23 +44,27 @@ def trace(cpu: Cpu, max_steps: int = 1000) -> Iterator[TraceRecord]:
     """Step the CPU, yielding a record per executed word.
 
     Stops on :class:`Halted` (swallowed) or after ``max_steps``.  Other
-    faults propagate -- a tracer must not hide crashes.
+    faults propagate -- a tracer must not hide crashes.  A record's word
+    is the one its step fetched, read back from the CPU's decode cache,
+    so tracing fetches, translates and counts exactly what an untraced
+    run does.
     """
+    stats = cpu.stats
     for step in range(max_steps):
         pc = cpu.pc
         before = list(cpu.regs)
-        taken_before = cpu.stats.branches_taken
-        try:
-            word = cpu.fetch(pc)
-        except Exception:
-            # the step below takes the same fault through the normal
-            # vector; the record is explicitly marked so a placeholder
-            # NOP is never mistaken for an executed word
-            word = None
+        taken_before = stats.branches_taken
+        pieces_before = stats.pieces
+        exceptions_before = stats.exceptions
         try:
             cpu.step()
         except Halted:
             return
+        # a step counts its word's pieces before it can fault, so a step
+        # that took a fault and counted none fetched nothing at pc: its
+        # fetch faulted (or an interrupt came first), and the record is
+        # marked so a placeholder NOP is never mistaken for an executed word
+        fetch_faulted = stats.exceptions > exceptions_before and stats.pieces == pieces_before
         writes = {
             n: after
             for n, (prev, after) in enumerate(zip(before, cpu.regs))
@@ -68,10 +73,10 @@ def trace(cpu: Cpu, max_steps: int = 1000) -> Iterator[TraceRecord]:
         yield TraceRecord(
             step,
             pc,
-            word if word is not None else InstructionWord.nop(),
+            InstructionWord.nop() if fetch_faulted else cpu.step_plan(pc).word,
             writes,
-            cpu.stats.branches_taken > taken_before,
-            fetch_faulted=word is None,
+            stats.branches_taken > taken_before,
+            fetch_faulted=fetch_faulted,
         )
 
 

@@ -32,7 +32,7 @@ from repro.isa.pieces import (
     WriteSpecial,
 )
 from repro.isa.registers import Reg, SpecialReg
-from repro.reorg import OptLevel, reorganize
+from repro.reorg import ALL_LEVELS, OptLevel, reorganize
 from repro.sim import Machine
 
 
@@ -188,6 +188,31 @@ class TestTwoPass:
     def test_entry_falls_back_to_lowest(self):
         program = assemble(".org 7\nmain: nop")
         assert program.entry == 7
+
+
+#: an undefined label in each piece that names one: a long immediate, a
+#: jump and a compare-and-branch
+UNDEFINED_LABELS = {
+    "lim": "start: lim nowhere,r3\ntrap #0",
+    "jmp": "start: jmp nowhere\nnop\ntrap #0",
+    "branch": "start: beq r1,#0,nowhere\nnop\ntrap #0",
+}
+
+
+class TestUndefinedLabels:
+    @pytest.mark.parametrize("form", UNDEFINED_LABELS)
+    def test_reorganizer_names_the_label(self, form):
+        stream = assemble_pieces(UNDEFINED_LABELS[form])
+        for level in ALL_LEVELS:
+            with pytest.raises(UndefinedSymbol, match="'nowhere'"):
+                reorganize(stream, level).to_program()
+
+    @pytest.mark.parametrize("form", UNDEFINED_LABELS)
+    def test_assembler_names_the_label_and_its_line(self, form):
+        with pytest.raises(UndefinedSymbol, match="'nowhere'") as info:
+            assemble("; a first line\n" + UNDEFINED_LABELS[form])
+        assert info.value.line == 2
+        assert "nowhere" in info.value.source
 
 
 class TestAssemblePieces:

@@ -124,6 +124,17 @@ class TestCli:
         out = capsys.readouterr().out
         assert "none:" in out and "branch-delay:" in out
 
+    def test_reorg_main_stops_on_an_undefined_label(self, tmp_path, capsys):
+        """The listed level is resolved before anything is printed."""
+        from repro.asm import UndefinedSymbol
+        from repro.cli import reorg_main
+
+        source_file = tmp_path / "p.s"
+        source_file.write_text("start: jmp nowhere\nnop\ntrap #0")
+        with pytest.raises(UndefinedSymbol, match="'nowhere'"):
+            reorg_main([str(source_file)])
+        assert capsys.readouterr().out == ""
+
     def test_reorg_main_reorganizes_each_level_once(self, tmp_path, capsys, monkeypatch):
         """The listing of ``--level`` reuses that level's summary run."""
         from repro import reorg

@@ -179,14 +179,14 @@ class TestClassifyWord:
     def test_mov_filler_operand_not_counted(self):
         machine = Machine(assemble("start: mov #1, r1\n trap #0"))
         machine.run(10)
-        profile = classify_word(machine.cpu.fetch(0))
+        profile = classify_word(machine.cpu.step_plan(0).word)
         assert profile.ops == {"mov": 1}
         assert sum(profile.imm.values()) == 1   # only s1; the filler s2 is not a constant
 
     def test_noops_separate_from_pieces(self):
         machine = Machine(assemble("start: nop\n trap #0"))
         machine.run(10)
-        profile = classify_word(machine.cpu.fetch(0))
+        profile = classify_word(machine.cpu.step_plan(0).word)
         assert profile.noops == 1 and profile.pieces == 0
 
 

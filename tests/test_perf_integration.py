@@ -208,3 +208,43 @@ class TestTracingFetchFault:
         records = list(trace(machine.cpu, max_steps=5))
         assert records and all(not r.fetch_faulted for r in records)
         assert "mov" in repr(records[0])
+
+
+class TestTracingObservesWithoutTouching:
+    """A traced run fetches, translates and counts exactly what an
+    untraced reference run does: each record's word is the one its step
+    fetched, not a second fetch."""
+
+    def test_bare_machine(self):
+        program = compile_source(CORPUS["fib_iterative"]).program
+        traced, untraced = Machine(program), Machine(program)
+        records = list(trace(traced.cpu, max_steps=100_000))
+        untraced.run(fast=False)
+        assert traced.output == untraced.output
+        assert traced.cpu.stats == untraced.cpu.stats
+        assert traced.memory.stats == untraced.memory.stats
+        assert [r.word for r in records] == [
+            program.instructions[r.pc] for r in records
+        ]
+
+    def test_kernel(self):
+        programs = [compile_source(CORPUS[name]).program for name in ("fib_iterative", "sieve")]
+        kernels = []
+        for _ in range(2):
+            kernel = Kernel(quantum=0, max_frames=4)
+            for program in programs:
+                kernel.add_process(program)
+            kernels.append(kernel)
+        traced, untraced = kernels
+        traced.boot()
+        records = list(trace(traced.cpu, max_steps=1_000_000))
+        untraced.run(fast=False)
+        assert untraced.halted and len(records) < 1_000_000
+        assert traced.output(1) == untraced.output(1)
+        assert state_fingerprint(traced.cpu) == state_fingerprint(untraced.cpu)
+        assert traced.cpu.stats == untraced.cpu.stats
+        assert traced.physical.stats == untraced.physical.stats
+        assert traced.pagemap.stats == untraced.pagemap.stats
+        # the page faults on user fetches are the records marked as such
+        assert any(r.fetch_faulted for r in records)
+        assert all(r.word.is_nop for r in records if r.fetch_faulted)
