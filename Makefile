@@ -1,11 +1,6 @@
 # Every check, written once: CI's jobs run these targets (see
 # .github/workflows/ci.yml), so a local run and a CI run take the same
-# arguments and leave the same /tmp outputs.  Two CI steps have no target
-# here: the wall-clock overhead-ratio tests benchmarks/test_perf_overhead.py
-# (perf-gate job) and benchmarks/test_chaos_overhead.py (chaos-smoke job).
-# They are noise-bound on a shared host, and ROADMAP item 6 plans to replace
-# them with exact opcode-count tests; run them with
-# `python -m pytest -q benchmarks/`.
+# arguments and leave the same /tmp outputs.
 
 PYTHON ?= python
 export PYTHONPATH := src

@@ -17,6 +17,24 @@ The modeled pipeline is the paper's five-stage, interlock-free design:
   memory reference has committed, which is what makes faulting
   instructions restartable (section 3.3).
 
+Pipeline state: between two words it is one five-slot list,
+:attr:`Cpu.pipe`, which the reference stepper and the fast path's
+handlers both read and write in place and never rebind:
+
+- ``pipe[0]``: the in-flight load's register, or -1; ``pipe[1]``: that
+  load's value;
+- ``pipe[2]``: the branch target due after the next word, or -1;
+- ``pipe[3]``: the target due one word later, or -1 (register values
+  are never negative, so -1 is never a target);
+- ``pipe[4]``: the current fast-path burst's count of taken branches.
+
+Each word shifts ``pipe[3]`` into ``pipe[2]`` as the due target fires;
+a transfer with one delay slot is then written to ``pipe[2]``, one with
+two delay slots to ``pipe[3]``.  So a transfer issued in a delay slot
+that falls due at the same step as an earlier one replaces it: the
+later-issued transfer wins the tie.  The ``rfs`` restart stream is kept
+apart, in ``Cpu._forced_stream``.
+
 Hazard modes:
 
 ``BARE``
@@ -302,9 +320,10 @@ class Cpu:
         #: traps, and ``rfs`` land in its event ring.  Costs one ``is
         #: None`` test per reference step when detached.
         self.profiler = None
-        self._pending_branches: List[List[int]] = []  # [countdown, target]
+        #: the pipeline state between two words; the module docstring
+        #: gives its layout
+        self.pipe: List[int] = [-1, 0, -1, -1, 0]
         self._forced_stream: List[int] = []  # pcs forced by rfs
-        self._deferred_load: Dict[int, int] = {}  # reg number -> value in flight
         self._decode_cache: Dict[int, StepPlan] = {}  # address -> plan
         self._fastpath = None  # lazily-built FastPathEngine
 
@@ -365,39 +384,34 @@ class Cpu:
         """
         pcs: List[int] = []
         pc = self.pc
-        pending = [entry[:] for entry in self._pending_branches]
+        due, later = self.pipe[2], self.pipe[3]
         forced = list(self._forced_stream)
         for _ in range(n):
             pcs.append(pc)
-            next_pc = pc + 1
-            fired = None
-            for entry in pending:
-                entry[0] -= 1
-                if entry[0] == 0:
-                    fired = entry[1]
-            pending = [entry for entry in pending if entry[0] > 0]
-            if fired is not None:
-                next_pc = fired
+            if due != -1:
+                pc = due
                 forced = []
             elif forced:
-                next_pc = forced.pop(0)
-            pc = next_pc
+                pc = forced.pop(0)
+            else:
+                pc += 1
+            due, later = later, -1
         return pcs
 
     def _advance_pc(self, pc: int, branch: Optional[Tuple[int, int]]) -> None:
-        """Compute the next PC after executing the word at ``pc``."""
-        next_pc = pc + 1
-        fired: Optional[int] = None
-        for entry in self._pending_branches:
-            entry[0] -= 1
-            if entry[0] == 0:
-                fired = entry[1]
-        self._pending_branches = [e for e in self._pending_branches if e[0] > 0]
-        if fired is not None:
-            next_pc = fired
+        """Compute the next PC after executing the word at ``pc``: the due
+        target fires, the later one becomes due, and a taken transfer
+        takes the slot its delay selects."""
+        pipe = self.pipe
+        next_pc = pipe[2]
+        if next_pc != -1:
             self._forced_stream = []
         elif self._forced_stream:
             next_pc = self._forced_stream.pop(0)
+        else:
+            next_pc = pc + 1
+        pipe[2] = pipe[3]
+        pipe[3] = -1
 
         if branch is not None:
             delay, target = branch
@@ -405,14 +419,13 @@ class Cpu:
                 # hardware clears the pipe: slots squashed, delay charged
                 self.stats.branch_flush_cycles += delay
                 self.stats.cycles += delay
-                if self.profiler is not None and delay:
+                if self.profiler is not None:
                     self.profiler.charge_flush(pc, delay)
-                self._pending_branches = []
-                next_pc = target
-            elif delay == 0:
+                pipe[2] = -1
                 next_pc = target
             else:
-                self._pending_branches.append([delay, target])
+                # one delay slot: due after the next word; two: a word later
+                pipe[1 + delay] = target
 
         self.pc = next_pc
 
@@ -482,7 +495,7 @@ class Cpu:
         self._apply_deferred()
         self.xra = self.upcoming_pcs(3)
         self.surprise.enter_exception(fault.cause, fault.minor)
-        self._pending_branches = []
+        self.pipe[2] = self.pipe[3] = -1
         self._forced_stream = []
         # "the program counter is zeroed so that execution begins at the
         # start of the first physical page"
@@ -492,9 +505,11 @@ class Cpu:
             observer(self, fault, pre[0], pre[1])
 
     def _apply_deferred(self) -> None:
-        for number, value in self._deferred_load.items():
-            self.regs[number] = value
-        self._deferred_load = {}
+        """Land the in-flight load, if any."""
+        pipe = self.pipe
+        if pipe[0] != -1:
+            self.regs[pipe[0]] = pipe[1]
+            pipe[0] = -1
 
     def _execute_at(self, pc: int) -> None:
         # ---- fetch: one translation, one memory read ---------------------
@@ -517,22 +532,20 @@ class Cpu:
             ops = plan.build(pc)
 
         # ---- hazard accounting against the in-flight load ---------------
-        if self._deferred_load:
-            reads = plan.reads
-            conflicted = [n for n in self._deferred_load if reads >> n & 1]
-            if conflicted:
-                if self.hazard_mode is HazardMode.CHECKED:
-                    raise HazardViolation(
-                        f"word at {pc} reads r{sorted(conflicted)[0]} in a load "
-                        f"delay slot: {plan.word!r}"
-                    )
-                if self.hazard_mode is HazardMode.INTERLOCKED:
-                    # one stall cycle, then forward the loaded value
-                    self.stats.load_stalls += 1
-                    self.stats.cycles += 1
-                    if self.profiler is not None:
-                        self.profiler.charge_stall(pc)
-                    self._apply_deferred()
+        pipe = self.pipe
+        in_flight = pipe[0]
+        if in_flight != -1 and plan.reads >> in_flight & 1:
+            if self.hazard_mode is HazardMode.CHECKED:
+                raise HazardViolation(
+                    f"word at {pc} reads r{in_flight} in a load delay slot: {plan.word!r}"
+                )
+            if self.hazard_mode is HazardMode.INTERLOCKED:
+                # one stall cycle, then forward the loaded value
+                self.stats.load_stalls += 1
+                self.stats.cycles += 1
+                if self.profiler is not None:
+                    self.profiler.charge_stall(pc)
+                self._apply_deferred()
 
         stats = self.stats
         stats.pieces += plan.pieces
@@ -631,8 +644,10 @@ class Cpu:
 
         # ---- commit --------------------------------------------------------
         # the previous word's in-flight load lands before this word's writes
-        if self._deferred_load:
-            self._apply_deferred()
+        in_flight = pipe[0]
+        if in_flight != -1:
+            regs[in_flight] = pipe[1]
+            pipe[0] = -1
         if dst is not None:
             regs[dst] = result
         if special is not None:
@@ -642,7 +657,8 @@ class Cpu:
                 # forwarding hardware: the load value is usable immediately,
                 # but remember it to charge the stall on next-word use
                 regs[load_dst] = loaded
-            self._deferred_load = {load_dst: loaded}
+            pipe[0] = load_dst
+            pipe[1] = loaded
 
         # ---- timing ----------------------------------------------------------
         stats.words += 1
@@ -667,10 +683,10 @@ class Cpu:
             self.in_exception = False
             self.pc = self.xra[0]
             self._forced_stream = [self.xra[1], self.xra[2]]
-            self._pending_branches = []
+            pipe[2] = pipe[3] = -1
             return
 
-        if branch is not None or self._pending_branches or self._forced_stream:
+        if branch is not None or pipe[2] != -1 or pipe[3] != -1 or self._forced_stream:
             self._advance_pc(pc, branch)
         else:
             self.pc = pc + 1

@@ -42,22 +42,23 @@ to :meth:`Cpu.step`):
   the flush multiplies.  Every fast word is exactly one cycle (all
   stall/flush cases bail), so ``cycles == words`` holds within a burst
   and kernel timer quanta stay exact under batching.
-- **Pipeline state in a 5-slot list** (``st``): deferred-load register
-  and value, the two pending-branch slots (countdown 1 and 2), and the
-  dynamic taken-branch counter.  It is synced from and back to the CPU's
-  canonical fields around every burst, so reference steps interleave
-  transparently.
+- **One pipeline state.**  Handlers run on the CPU's own five-slot
+  list, :attr:`Cpu.pipe <repro.sim.cpu.Cpu.pipe>` (``st`` in handler
+  text; :mod:`repro.sim.cpu` gives its layout), and mutate it in place,
+  so reference steps and bursts interleave with nothing to convert.
 - **Self-modifying code** is caught by invalidation: fast stores check
   the written physical address against the map of addresses handlers
   were compiled from, and all reference-path writes (including device
   DMA and loader pokes) report through :attr:`PhysicalMemory.watch_hook`.
 
+The engine runs over a :class:`~repro.sim.memory.PhysicalMemory` or a
+memory that wraps one as ``physical`` (a ``MappedMemory``).
+
 Execution contexts:
 
-- **Unmapped** (mapping off), over a bare
-  :class:`~repro.sim.memory.PhysicalMemory` or the physical side of a
-  ``MappedMemory``: handlers are keyed by physical address, and
-  device-window references bail.
+- **Unmapped** (mapping off), over a bare ``PhysicalMemory`` or the
+  physical side of a ``MappedMemory``: handlers are keyed by physical
+  address, and device-window references bail.
 - **Mapped** (user mode under the kernel), over a ``MappedMemory``:
   handlers are keyed by virtual PC, so per-PC profiles keep virtual PCs.
   The fetch is translated once, at compile time; each data reference is
@@ -270,35 +271,28 @@ class FastPathEngine:
     def __init__(self, cpu):
         self.cpu = cpu
         mem = cpu.memory
-        # duck-type the memory stack: a MappedMemory exposes .physical
-        # (and possibly .devices); a bare PhysicalMemory is its own store
-        physical = getattr(mem, "physical", None)
-        if physical is None and hasattr(mem, "_words"):
-            physical = mem
-        self._phys = physical
+        # a MappedMemory wraps its PhysicalMemory (and possibly devices);
+        # a bare PhysicalMemory is its own store
+        self._phys = getattr(mem, "physical", mem)
         self._devices = getattr(mem, "devices", None)
         self._pagemap = getattr(mem, "pagemap", None)
         if self._pagemap is not None:
             from ..system.mapping import PAGE_SHIFT  # local: the system layer imports sim
 
             self._page_shift = PAGE_SHIFT
-        self._supported = physical is not None and hasattr(physical, "_words")
         self._contexts: Dict[object, _Context] = {}
         #: physical address -> the (context, pc) handlers compiled from it
         self._code: Dict[int, list] = {}
-        self._disabled = False
         #: steps completed by the current/last run() call *before* any
         #: exception escaped -- callers use this to account for steps
         #: when a reference step raises (halt, hazard violation, ...)
         self.last_run_steps = 0
         self.stats = EngineStats()
-        self._st = [-1, 0, -1, -1, 0]
         #: the templates this engine used, in front of the shared ones
         self._templates: Dict[str, tuple] = {}
         #: the globals every generated handler runs with
-        self._env = self._globals() if self._supported else None
-        if self._supported and hasattr(physical, "watch_hook"):
-            physical.watch_hook = self._on_external_write
+        self._env = self._globals()
+        self._phys.watch_hook = self._on_external_write
 
     # ------------------------------------------------------------------
     # driving loop
@@ -323,7 +317,6 @@ class FastPathEngine:
         estats = self.stats
         steps = 0
         self.last_run_steps = 0
-        supported = self._supported and not self._disabled
         while True:
             self.last_run_steps = steps
             if steps >= max_steps:
@@ -332,11 +325,7 @@ class FastPathEngine:
                 break
             sv = surprise.value
             ctx = None
-            if (
-                supported
-                and not cpu._forced_stream
-                and not (cpu.interrupt_line and sv & 2)
-            ):
+            if not cpu._forced_stream and not (cpu.interrupt_line and sv & 2):
                 ctx = self._context(sv)
             if ctx is not None:
                 budget = max_steps - steps
@@ -345,15 +334,14 @@ class FastPathEngine:
                 n = self._burst(ctx, budget)
                 steps += n
                 self.last_run_steps = steps
-                if self._disabled:
-                    supported = False
                 if steps >= max_steps:
                     break
                 if cycle_limit is not None and stats.cycles >= cycle_limit:
                     break
             # exactly one precise step: the word a burst stopped at (a
             # fallback, a bailed word, a faulting fetch), interrupt
-            # delivery, a forced return stream, or an unsupported memory
+            # delivery, a forced return stream, or mapping on without a
+            # page map
             estats.ref_steps += 1
             cpu.step()
             steps += 1
@@ -383,36 +371,15 @@ class FastPathEngine:
         return ctx
 
     # ------------------------------------------------------------------
-    # the burst: sync in, run handlers, flush stats, sync out
+    # the burst: run handlers on the CPU's pipeline state, flush stats
     # ------------------------------------------------------------------
 
     def _burst(self, ctx: _Context, budget: int) -> int:
         cpu = self.cpu
         regs = cpu.regs
-        st = self._st
+        st = cpu.pipe
+        st[4] = 0
         self.stats.bursts += 1
-
-        # ---- sync pipeline state into the burst-local form ------------
-        deferred = cpu._deferred_load
-        if deferred:
-            if len(deferred) != 1:  # cannot happen architecturally
-                self._disabled = True
-                return 0
-            (st[0], st[1]), = deferred.items()
-        else:
-            st[0] = -1
-        p1 = p2 = -1
-        for countdown, target in cpu._pending_branches:
-            # simultaneous countdowns: the later-appended entry wins the
-            # fire and both retire, so last-wins assignment is exact
-            if countdown == 1:
-                p1 = target
-            elif countdown == 2:
-                p2 = target
-            else:  # not a state the CPU can produce
-                self._disabled = True
-                return 0
-        st[2], st[3], st[4] = p1, p2, 0
 
         pc = cpu.pc
         n = 0
@@ -490,16 +457,7 @@ class FastPathEngine:
                         pcounts[wpc] = pget(wpc, 0) + c
             elif st[4]:  # pragma: no cover - taken implies counts
                 stats.branches_taken += st[4]
-
-            # ---- sync pipeline state back to the CPU ------------------
             cpu.pc = pc
-            cpu._deferred_load = {st[0]: st[1]} if st[0] != -1 else {}
-            pending = []
-            if st[2] != -1:
-                pending.append([1, st[2]])
-            if st[3] != -1:
-                pending.append([2, st[3]])
-            cpu._pending_branches = pending
         return n
 
     # ------------------------------------------------------------------
@@ -884,14 +842,9 @@ class FastPathEngine:
 
     @staticmethod
     def _emit_epilogue(flow, pc: int, k: _Slots) -> list:
-        """Next-PC logic: age the two pending-branch slots, then return.
-
-        The two-slot model is exact: entries live at most two words, at
-        most one per countdown is live between steps, and when a branch
-        in a delay slot creates a same-tick tie the later-appended entry
-        both wins the fire and retires the loser -- which is precisely
-        what overwriting the slot expresses.
-        """
+        """Next-PC logic: shift the two branch slots as
+        :meth:`Cpu._advance_pc <repro.sim.cpu.Cpu._advance_pc>` does,
+        then return the next PC."""
         seq = k(pc + 1)
         if isinstance(flow, Jump):
             return [

@@ -94,6 +94,7 @@ def state_fingerprint(cpu: Cpu) -> Dict[str, object]:
     equivalence holds at *any* step boundary, not just at halt.
     """
     stats = cpu.stats
+    pipe = cpu.pipe
     return {
         "pc": cpu.pc,
         "regs": list(cpu.regs),
@@ -103,8 +104,9 @@ def state_fingerprint(cpu: Cpu) -> Dict[str, object]:
         "seg_mask": cpu.seg_mask,
         "seg_pid": cpu.seg_pid,
         "interrupt_line": cpu.interrupt_line,
-        "deferred_load": dict(cpu._deferred_load),
-        "pending_branches": [tuple(e) for e in cpu._pending_branches],
+        "deferred_load": {pipe[0]: pipe[1]} if pipe[0] != -1 else {},
+        # (words left before it fires, target): the due slot, then the later
+        "pending_branches": [(n, pipe[1 + n]) for n in (1, 2) if pipe[1 + n] != -1],
         "forced_stream": list(cpu._forced_stream),
         "stats": {
             "cycles": stats.cycles,
