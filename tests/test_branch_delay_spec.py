@@ -36,9 +36,6 @@ WORDS = {
     "jalr": ("jalr r{reg}", 2),
 }
 
-#: the three set-up words before the control words
-SETUP = 3
-
 #: what follows the control words, and each landing pad: three plain
 #: words (a transfer still pending on arrival lands within them), then a
 #: halt
@@ -46,7 +43,7 @@ TAIL = ["add r4, #1, r4"] * 3 + ["trap #0"]
 
 
 def _source(kinds) -> str:
-    lines = [f"lim pad{i}, r{5 + i}" for i in range(SETUP)]
+    lines = [f"lim pad{i}, r{5 + i}" for i in range(len(kinds))]
     lines += [WORDS[kind][0].format(i=i, reg=5 + i) for i, kind in enumerate(kinds)]
     lines += TAIL
     for i in range(len(kinds)):
@@ -57,7 +54,7 @@ def _source(kinds) -> str:
 
 def _model(program, kinds, interlocked: bool) -> list:
     """``(pc, flush cycles, next three pcs)`` after each step, to the halt."""
-    first = program.entry + SETUP
+    first = program.entry + len(kinds)  # after one ``lim`` per control word
     pads = [program.symbol(f"pad{i}") for i in range(len(kinds))]
     transfers = {
         first + i: (WORDS[kind][1], pads[i])
