@@ -59,27 +59,33 @@ farm-smoke:
 	$(FARM_STABLE_RECORDS) /tmp/farm-sharded.jsonl 2
 	cmp /tmp/farm-serial.jsonl /tmp/farm-sharded.jsonl
 
-## chaos-smoke: every campaign passes on both engines and seed 7 reruns
-## byte-identical; a second seed on the fast engine
+## chaos-smoke: every campaign passes on both engines, seed 7 prints its
+## known aggregate digest and reruns byte-identical; a second seed on the
+## fast engine.  A change that moves the digest updates the literal.
 chaos-smoke:
-	$(PYTHON) -m repro.chaos run --seed 7 --results /tmp/chaos-a.jsonl
+	$(PYTHON) -m repro.chaos run --seed 7 --results /tmp/chaos-a.jsonl > /tmp/chaos-a.out
+	cat /tmp/chaos-a.out; grep -qx 'aggregate digest: 0325df2ecdcc7a113961d1e0d431b1d4039082d4d320215f88fc4ea8689a9597' /tmp/chaos-a.out
 	$(PYTHON) -m repro.chaos run --seed 7 --results /tmp/chaos-b.jsonl
 	cmp /tmp/chaos-a.jsonl /tmp/chaos-b.jsonl
 	$(PYTHON) -m repro.chaos run --seed 42 --engine fast
 
 ## fuzz-smoke: the fixed-seed 500-case batch checks out clean and its
-## stable records are byte-identical at --jobs 1 and 2 (prints the digest);
-## an instruction-stream sweep at a second seed; the 120-case MiniJava
-## batch checks out clean and is byte-identical at --jobs 1 and 2
+## stable records are byte-identical at --jobs 1 and 2; an
+## instruction-stream sweep at a second seed; the 120-case MiniJava batch
+## checks out clean and is byte-identical at --jobs 1 and 2.  Each batch
+## must print its known digest; a change that moves one updates the literal.
 fuzz-smoke:
 	$(PYTHON) -m repro.fuzz run --cases 500 --seed 1982 --fuzz-mode both \
-		--jobs 1 --stable-results /tmp/fuzz-serial.jsonl
+		--jobs 1 --stable-results /tmp/fuzz-serial.jsonl > /tmp/fuzz-serial.out
+	cat /tmp/fuzz-serial.out; grep -q ' digest 222cda1f06d31ed9$$' /tmp/fuzz-serial.out
 	$(PYTHON) -m repro.fuzz run --cases 500 --seed 1982 --fuzz-mode both \
 		--jobs 2 --stable-results /tmp/fuzz-sharded.jsonl
 	cmp /tmp/fuzz-serial.jsonl /tmp/fuzz-sharded.jsonl
-	$(PYTHON) -m repro.fuzz run --cases 300 --seed 42 --fuzz-mode words --jobs 2
+	$(PYTHON) -m repro.fuzz run --cases 300 --seed 42 --fuzz-mode words --jobs 2 > /tmp/fuzz-words.out
+	cat /tmp/fuzz-words.out; grep -q ' digest da3fe8b88cd665b1$$' /tmp/fuzz-words.out
 	$(PYTHON) -m repro.fuzz run --cases 120 --seed 2026 --fuzz-mode minijava \
-		--jobs 1 --stable-results /tmp/fuzz-mj-serial.jsonl
+		--jobs 1 --stable-results /tmp/fuzz-mj-serial.jsonl > /tmp/fuzz-mj-serial.out
+	cat /tmp/fuzz-mj-serial.out; grep -q ' digest 532eab722bb88713$$' /tmp/fuzz-mj-serial.out
 	$(PYTHON) -m repro.fuzz run --cases 120 --seed 2026 --fuzz-mode minijava \
 		--jobs 2 --stable-results /tmp/fuzz-mj-sharded.jsonl
 	cmp /tmp/fuzz-mj-serial.jsonl /tmp/fuzz-mj-sharded.jsonl

@@ -32,8 +32,11 @@ Each word shifts ``pipe[3]`` into ``pipe[2]`` as the due target fires;
 a transfer with one delay slot is then written to ``pipe[2]``, one with
 two delay slots to ``pipe[3]``.  So a transfer issued in a delay slot
 that falls due at the same step as an earlier one replaces it: the
-later-issued transfer wins the tie.  The ``rfs`` restart stream is kept
-apart, in ``Cpu._forced_stream``.
+later-issued transfer wins the tie.  Exception entry saves the next
+three PCs -- the PC and the two that follow it through the slots -- as
+``xra0``--``xra2`` and clears the slots; ``rfs`` writes them back, to the
+PC, ``pipe[2]`` and ``pipe[3]``, so the restart stream is ordinary
+pipeline state.
 
 Hazard modes:
 
@@ -323,7 +326,6 @@ class Cpu:
         #: the pipeline state between two words; the module docstring
         #: gives its layout
         self.pipe: List[int] = [-1, 0, -1, -1, 0]
-        self._forced_stream: List[int] = []  # pcs forced by rfs
         self._decode_cache: Dict[int, StepPlan] = {}  # address -> plan
         self._fastpath = None  # lazily-built FastPathEngine
 
@@ -385,16 +387,9 @@ class Cpu:
         pcs: List[int] = []
         pc = self.pc
         due, later = self.pipe[2], self.pipe[3]
-        forced = list(self._forced_stream)
         for _ in range(n):
             pcs.append(pc)
-            if due != -1:
-                pc = due
-                forced = []
-            elif forced:
-                pc = forced.pop(0)
-            else:
-                pc += 1
+            pc = due if due != -1 else pc + 1
             due, later = later, -1
         return pcs
 
@@ -404,11 +399,7 @@ class Cpu:
         takes the slot its delay selects."""
         pipe = self.pipe
         next_pc = pipe[2]
-        if next_pc != -1:
-            self._forced_stream = []
-        elif self._forced_stream:
-            next_pc = self._forced_stream.pop(0)
-        else:
+        if next_pc == -1:
             next_pc = pc + 1
         pipe[2] = pipe[3]
         pipe[3] = -1
@@ -496,7 +487,6 @@ class Cpu:
         self.xra = self.upcoming_pcs(3)
         self.surprise.enter_exception(fault.cause, fault.minor)
         self.pipe[2] = self.pipe[3] = -1
-        self._forced_stream = []
         # "the program counter is zeroed so that execution begins at the
         # start of the first physical page"
         self.pc = 0
@@ -681,12 +671,11 @@ class Cpu:
             self._apply_deferred()
             self.surprise.restore_previous()
             self.in_exception = False
-            self.pc = self.xra[0]
-            self._forced_stream = [self.xra[1], self.xra[2]]
-            pipe[2] = pipe[3] = -1
+            # the inverse of exception entry: xra1 is due after xra0 issues
+            self.pc, pipe[2], pipe[3] = self.xra
             return
 
-        if branch is not None or pipe[2] != -1 or pipe[3] != -1 or self._forced_stream:
+        if branch is not None or pipe[2] != -1 or pipe[3] != -1:
             self._advance_pc(pc, branch)
         else:
             self.pc = pc + 1

@@ -325,7 +325,7 @@ class FastPathEngine:
                 break
             sv = surprise.value
             ctx = None
-            if not cpu._forced_stream and not (cpu.interrupt_line and sv & 2):
+            if not (cpu.interrupt_line and sv & 2):
                 ctx = self._context(sv)
             if ctx is not None:
                 budget = max_steps - steps
@@ -340,8 +340,7 @@ class FastPathEngine:
                     break
             # exactly one precise step: the word a burst stopped at (a
             # fallback, a bailed word, a faulting fetch), interrupt
-            # delivery, a forced return stream, or mapping on without a
-            # page map
+            # delivery, or mapping on without a page map
             estats.ref_steps += 1
             cpu.step()
             steps += 1

@@ -107,7 +107,8 @@ def state_fingerprint(cpu: Cpu) -> Dict[str, object]:
         "deferred_load": {pipe[0]: pipe[1]} if pipe[0] != -1 else {},
         # (words left before it fires, target): the due slot, then the later
         "pending_branches": [(n, pipe[1 + n]) for n in (1, 2) if pipe[1 + n] != -1],
-        "forced_stream": list(cpu._forced_stream),
+        # always empty now that rfs restarts through the slots; kept so digests do not move
+        "forced_stream": [],
         "stats": {
             "cycles": stats.cycles,
             "words": stats.words,

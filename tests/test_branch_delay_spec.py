@@ -14,6 +14,11 @@ be what this rule gives:
   wins;
 - in INTERLOCKED mode a taken transfer is due at the next step and
   charges d flush cycles.
+
+An interrupt is then delivered before each step of each stream in turn,
+to a handler that is one ``rfs``: after it the run must go on as the
+uninterrupted one does, because exception entry saves the next three PCs
+and ``rfs`` restores exactly them.
 """
 
 import itertools
@@ -40,6 +45,9 @@ WORDS = {
 #: words (a transfer still pending on arrival lands within them), then a
 #: halt
 TAIL = ["add r4, #1, r4"] * 3 + ["trap #0"]
+
+#: the interrupt handler, at address 0 where exceptions vector
+HANDLER = "rfs"
 
 
 def _source(kinds) -> str:
@@ -82,7 +90,19 @@ def _model(program, kinds, interlocked: bool) -> list:
             return states
 
 
-@pytest.mark.parametrize("mode", [HazardMode.BARE, HazardMode.INTERLOCKED], ids=lambda m: m.value)
+def _lockstep(ref, fast, where) -> dict:
+    """One step on each engine; their fingerprints must be equal."""
+    ref.run_steps(1, fast=False)
+    fast.run_steps(1, fast=True)
+    fingerprint = state_fingerprint(ref.cpu)
+    assert state_fingerprint(fast.cpu) == fingerprint, where
+    return fingerprint
+
+
+MODES = [HazardMode.BARE, HazardMode.INTERLOCKED]
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
 def test_every_three_word_control_stream_follows_the_delay_rule(mode):
     for kinds in itertools.product(WORDS, repeat=3):
         program = assemble(_source(kinds))
@@ -91,11 +111,40 @@ def test_every_three_word_control_stream_follows_the_delay_rule(mode):
         fast = Machine(program, hazard_mode=mode)
         for step, (pc, flush, upcoming) in enumerate(expected, 1):
             where = f"{' '.join(kinds)}, step {step}"
-            ref.run_steps(1, fast=False)
-            fast.run_steps(1, fast=True)
-            fingerprint = state_fingerprint(ref.cpu)
-            assert state_fingerprint(fast.cpu) == fingerprint, where
+            fingerprint = _lockstep(ref, fast, where)
             assert fingerprint["pc"] == pc, where
             assert ref.cpu.stats.cycles == step + flush, where
             assert ref.cpu.upcoming_pcs(3) == upcoming, where
             assert ref.halted == fast.halted == (step == len(expected)), where
+
+
+def _interruptible(program, mode) -> Machine:
+    machine = Machine(program, hazard_mode=mode)
+    machine.cpu.vectored_exceptions = True
+    machine.cpu.surprise.interrupts_enabled = True
+    return machine
+
+
+@pytest.mark.parametrize("mode", MODES, ids=lambda m: m.value)
+def test_an_interrupt_before_any_step_resumes_the_same_stream(mode):
+    for kinds in itertools.product(WORDS, repeat=3):
+        program = assemble(f"{HANDLER}\nstart: {_source(kinds)}")
+        expected = _model(program, kinds, mode is HazardMode.INTERLOCKED)
+        for k in range(1, len(expected) + 1):
+            ref, fast = (_interruptible(program, mode) for _ in range(2))
+            for step in range(1, k):
+                _lockstep(ref, fast, f"{' '.join(kinds)}, step {step}")
+            where = f"{' '.join(kinds)}, interrupt before step {k}"
+            resume = ref.cpu.upcoming_pcs(3)
+            ref.cpu.interrupt_line = fast.cpu.interrupt_line = True
+            assert _lockstep(ref, fast, where)["pc"] == 0, where
+            ref.cpu.interrupt_line = fast.cpu.interrupt_line = False
+            assert _lockstep(ref, fast, where)["xra"] == resume, where
+            assert ref.cpu.upcoming_pcs(3) == resume, where
+            for step, (pc, flush, upcoming) in enumerate(expected[k - 1:], k):
+                where = f"{' '.join(kinds)}, interrupt before step {k}, step {step}"
+                fingerprint = _lockstep(ref, fast, where)
+                assert fingerprint["pc"] == pc, where
+                assert ref.cpu.stats.cycles == step + flush + 1, where  # + the rfs
+                assert ref.cpu.upcoming_pcs(3) == upcoming, where
+                assert ref.halted == fast.halted == (step == len(expected)), where

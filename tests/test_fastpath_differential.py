@@ -300,8 +300,10 @@ def test_kernel_differential(config):
 
 #: fast-engine reference steps of the os-multiprog configuration, in
 #: OS_MULTIPROG's process order: the kernel's traps, rfs, device
-#: accesses and interrupt deliveries, and the user words that fault
-OS_MULTIPROG_REF_STEPS = 14_801
+#: accesses and interrupt deliveries, and the user words that fault.
+#: ``rfs`` restores the branch slots, so the words it restarts run on
+#: handlers (14,801 while they ran on the reference stepper)
+OS_MULTIPROG_REF_STEPS = 13_520
 
 
 def test_os_multiprog_pins_reference_steps():
@@ -369,11 +371,7 @@ def test_kernel_chunked_run_survives_host_map_and_memory_changes():
 
 SMC_PATCH = encode(InstructionWord.single(MovImm(2, Reg(1))))
 
-#: user processes that fault, overflow, and rewrite their own code.  The
-#: kernel resumes a process through ``rfs``, whose three-word return
-#: stream runs on the reference stepper, so each program pads the words
-#: after ``start`` and after each trap with no-ops: the word under test
-#: runs on a handler
+#: user processes that fault, overflow, and rewrite their own code
 FAULTING_PROCESSES = {
     # a load from the hole between the two segment regions: killed.  The
     # process space is 2**20 words, so 2**20 - 17 is past the lower half;
@@ -383,9 +381,6 @@ FAULTING_PROCESSES = {
         start:  movi #5, r1
                 st r1, 0(r14)
                 trap #1
-                nop
-                nop
-                nop
                 lim 1048559, r2
                 ld 0(r2), r1
                 nop
@@ -396,9 +391,6 @@ FAULTING_PROCESSES = {
     "overflow": """
         start:  movi #7, r1
                 trap #1
-                nop
-                nop
-                nop
                 lim 1048575, r2
                 sll r2, #11, r2
                 add r2, r2, r3
@@ -409,10 +401,7 @@ FAULTING_PROCESSES = {
     # the first pass stores `movi #2, r1` over `loop`, which already ran
     # in the same burst; r6 sums 1 + 2 + 2
     "self-modify": f"""
-        start:  nop
-                nop
-                nop
-                mov #0, r5
+        start:  mov #0, r5
                 mov #0, r6
         loop:   movi #1, r1
                 add r6, r1, r6

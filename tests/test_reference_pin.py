@@ -193,8 +193,8 @@ start:  lim data, r3
         trap #0
 data:   .word 6
 """,
-    # rfs returns through xra0 and the forced stream xra1, xra2; then an
-    # rfs at user level
+    # rfs returns to xra0 with xra1 and xra2 due in the branch slots; then
+    # an rfs at user level
     "rfs": """
 start:  lim one, r2
         wrspec r2, xra0
@@ -295,15 +295,15 @@ DIGESTS = {
     "segmask-bare": "434f35fb7634f4e6",
     "segmask-checked": "434f35fb7634f4e6",
     "segmask-interlocked": "2baeee1ee75cc06b",
-    "rfs-bare": "7b0a80585ac1efab",
-    "rfs-checked": "7b0a80585ac1efab",
-    "rfs-interlocked": "7b0a80585ac1efab",
+    "rfs-bare": "ddadde1f410366cd",
+    "rfs-checked": "ddadde1f410366cd",
+    "rfs-interlocked": "ddadde1f410366cd",
     "stores-bare": "1b6d4c0e77778adf",
     "stores-checked": "1b6d4c0e77778adf",
     "stores-interlocked": "63bf971385c6ff4c",
     "compiled": "94162109da1166ca",
     "words-seed42": "4a22e3d5dd8cccc1",
-    "kernel": "b02d47bcb501a2db",
+    "kernel": "651c5c4106c273d0",
 }
 
 
